@@ -145,19 +145,33 @@ class CouplingGroup:
         with windows expressed in MSS units.  Falls back to 1.0 while RTT
         estimates are missing.
         """
+        return self.window_and_alpha()[1]
+
+    def window_and_alpha(self) -> tuple[int, float]:
+        """:meth:`total_cwnd` and :meth:`alpha` in one pass over the members.
+
+        Runs on every congestion-avoidance ACK, so it reads the members'
+        fields directly instead of going through their properties.
+        """
+        members = self._members
+        total_cwnd = 0
         best = 0.0
         denominator = 0.0
-        for member in self._members:
-            rtt = member.smoothed_rtt
+        for member in members:
+            cwnd = member._cwnd
+            total_cwnd += cwnd
+            rtt = member._srtt
             if rtt is None or rtt <= 0:
                 continue
-            cwnd_segments = member.cwnd / member.mss
-            best = max(best, cwnd_segments / (rtt * rtt))
+            cwnd_segments = cwnd / member._mss
+            ratio = cwnd_segments / (rtt * rtt)
+            if ratio > best:
+                best = ratio
             denominator += cwnd_segments / rtt
         if best <= 0.0 or denominator <= 0.0:
-            return 1.0
-        total_segments = self.total_cwnd() / max(self._members[0].mss, 1)
-        return total_segments * best / (denominator * denominator)
+            return total_cwnd, 1.0
+        total_segments = total_cwnd / max(members[0]._mss, 1)
+        return total_cwnd, total_segments * best / (denominator * denominator)
 
 
 class LiaCongestionControl(CongestionControl):
@@ -197,8 +211,9 @@ class LiaCongestionControl(CongestionControl):
         # RFC 6356: increase per ACK is
         #   min( alpha * bytes_acked * MSS / tot_cwnd, bytes_acked * MSS / cwnd )
         # i.e. never more aggressive than regular TCP on this subflow.
-        total = max(self._group.total_cwnd(), self._mss)
-        coupled = self._group.alpha() * acked_bytes * self._mss / total
+        total_cwnd, alpha = self._group.window_and_alpha()
+        total = max(total_cwnd, self._mss)
+        coupled = alpha * acked_bytes * self._mss / total
         uncoupled = acked_bytes * self._mss / max(self._cwnd, 1)
         return max(int(min(coupled, uncoupled)), 1)
 

@@ -655,37 +655,14 @@ class TcpSocket:
             self._retransmit_lost()
 
     def _process_sack(self, sack: SackOption) -> None:
-        """Mark SACKed segments and detect losses (simplified RFC 6675).
-
-        A segment is considered lost once a SACK block covers sequence
-        space above it: with per-path FIFO links there is no reordering
-        within a subflow, so anything skipped was dropped.
-        """
-        highest = sack.highest
-        newly_lost = False
-        newest_sample: Optional[float] = None
-        for sent in self._rtx_queue.segments:
-            if not sent.sacked and sack.covers(sent.seq, sent.end_seq):
-                sent.sacked = True
-                sent.lost = False
-                if not sent.retransmitted:
-                    # Sample the RTT from selectively acknowledged segments
-                    # (as Linux does); waiting for the cumulative ACK would
-                    # wildly overestimate the RTT whenever a hole is being
-                    # repaired in front of this segment.
-                    newest_sample = self._sim.now - sent.first_sent_at
-            elif (
-                not sent.sacked
-                and not sent.lost
-                and not sent.retransmitted
-                and sent.end_seq <= highest
-            ):
-                # Never re-mark a segment that was already retransmitted: if
-                # the retransmission is lost too, the RTO recovers it.
-                sent.lost = True
-                newly_lost = True
-        if newest_sample is not None:
-            self.rtt.add_sample(newest_sample)
+        """Update the SACK scoreboard; sample the RTT and enter recovery."""
+        sample, newly_lost = self._rtx_queue.apply_sack(sack.blocks)
+        if sample is not None:
+            # Sample the RTT from selectively acknowledged segments (as
+            # Linux does); waiting for the cumulative ACK would wildly
+            # overestimate the RTT whenever a hole is being repaired in
+            # front of this segment.
+            self.rtt.add_sample(self._sim.now - sample.first_sent_at)
             self._propagate_rtt()
         if newly_lost and not self.congestion.fast_recovery:
             self.lost_events += 1
@@ -693,16 +670,10 @@ class TcpSocket:
 
     def _retransmit_lost(self, budget: int = 3) -> None:
         """Retransmit up to ``budget`` segments marked lost by SACK."""
-        sent_any = False
-        for sent in self._rtx_queue.segments:
-            if budget <= 0:
-                break
-            if sent.lost and not sent.sacked:
-                self._retransmit(sent)
-                sent.lost = False
-                budget -= 1
-                sent_any = True
-        if sent_any and not self._rto_timer.armed:
+        lost = self._rtx_queue.take_lost(budget)
+        for sent in lost:
+            self._retransmit(sent)
+        if lost and not self._rto_timer.armed:
             self._rto_timer.start(self.rtt.rto)
 
     def _fast_retransmit(self) -> None:
@@ -755,7 +726,7 @@ class TcpSocket:
             self._fin_received = True
             self._reassembly.register(fin_seq, 0)
             # The FIN consumes one sequence number.
-            self._reassembly._rcv_nxt = max(self._reassembly.rcv_nxt, fin_seq + 1)
+            self._reassembly.rcv_nxt = max(self._reassembly.rcv_nxt, fin_seq + 1)
             self._observer.on_fin_received(self)
             if self.state == TcpState.ESTABLISHED:
                 self.state = TcpState.CLOSE_WAIT
@@ -846,7 +817,7 @@ class TcpSocket:
         if (
             flags & _ACK_BIT
             and self._reassembly is not None
-            and self._reassembly.out_of_order_ranges
+            and self._reassembly.ranges
         ):
             blocks = tuple(self._reassembly.sack_blocks(4))
             options = tuple(options) + (SackOption(blocks=blocks),)

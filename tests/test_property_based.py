@@ -8,7 +8,8 @@ from repro.core import codec
 from repro.core.commands import CommandReply, CreateSubflowCommand, RemoveSubflowCommand, ReplyStatus
 from repro.core.events import SubflowClosedEvent, SubflowEstablishedEvent, TimeoutEvent
 from repro.net.addressing import FourTuple, IPAddress
-from repro.tcp.buffers import ReceiveReassembly
+from repro.tcp.buffers import ReceiveReassembly, RetransmissionQueue, SentSegment
+from repro.tcp.options import SackOption
 from repro.tcp.rtt import RttEstimator
 
 addresses = st.integers(min_value=0, max_value=0xFFFFFFFF).map(IPAddress)
@@ -63,6 +64,250 @@ class TestReassemblyProperties:
         before = reasm.rcv_nxt
         for start, length in chunks:
             assert reasm.register(start, length) == 0 or reasm.rcv_nxt > before
+
+
+class _ListMergeReassembly:
+    """Reference model: the list-merge implementation that
+    ``ReceiveReassembly`` replaced, kept as the oracle for
+    :class:`TestReassemblyDifferential`.
+
+    Every out-of-order arrival rebuilds and re-sorts the whole range list;
+    SACK blocks are ranked by an update stamp.
+    """
+
+    class _Range:
+        def __init__(self, start, end, stamp=0):
+            self.start = start
+            self.end = end
+            self.stamp = stamp
+
+    def __init__(self, initial_seq=0):
+        self._rcv_nxt = initial_seq
+        self._out_of_order = []
+        self._duplicate_bytes = 0
+        self._stamp = 0
+
+    @property
+    def rcv_nxt(self):
+        return self._rcv_nxt
+
+    @property
+    def out_of_order_ranges(self):
+        return [(r.start, r.end) for r in self._out_of_order]
+
+    def sack_blocks(self, limit=4):
+        ordered = sorted(self._out_of_order, key=lambda r: r.stamp, reverse=True)
+        return [(r.start, r.end) for r in ordered[:limit]]
+
+    @property
+    def duplicate_bytes(self):
+        return self._duplicate_bytes
+
+    def register(self, seq, length):
+        if length == 0:
+            return 0
+        start, end = seq, seq + length
+        rcv_nxt = self._rcv_nxt
+        if end <= rcv_nxt:
+            self._duplicate_bytes += length
+            return 0
+        if start < rcv_nxt:
+            self._duplicate_bytes += rcv_nxt - start
+            start = rcv_nxt
+        if start == rcv_nxt and not self._out_of_order:
+            self._rcv_nxt = end
+            return end - start
+        new_bytes = self._insert(start, end)
+        self._advance()
+        return new_bytes
+
+    def _insert(self, start, end):
+        new_bytes = end - start
+        merged = []
+        for existing in self._out_of_order:
+            if existing.end < start or existing.start > end:
+                merged.append(existing)
+                continue
+            overlap = min(end, existing.end) - max(start, existing.start)
+            if overlap > 0:
+                self._duplicate_bytes += overlap
+                new_bytes -= overlap
+            start = min(start, existing.start)
+            end = max(end, existing.end)
+        self._stamp += 1
+        merged.append(self._Range(start, end, stamp=self._stamp))
+        merged.sort(key=lambda r: r.start)
+        self._out_of_order = merged
+        return max(new_bytes, 0)
+
+    def _advance(self):
+        while self._out_of_order and self._out_of_order[0].start <= self._rcv_nxt:
+            head = self._out_of_order[0]
+            if head.end > self._rcv_nxt:
+                self._rcv_nxt = head.end
+            self._out_of_order.pop(0)
+
+
+# Arrivals on a 10-byte grid make exact duplicates, adjacent and touching
+# ranges common; free-form arrivals add ragged overlaps.
+_grid_arrivals = st.tuples(
+    st.integers(min_value=0, max_value=40).map(lambda unit: 10 * unit),
+    st.integers(min_value=0, max_value=6).map(lambda units: 10 * units),
+)
+_ragged_arrivals = st.tuples(st.integers(min_value=0, max_value=400), st.integers(min_value=0, max_value=60))
+
+
+class TestReassemblyDifferential:
+    @given(
+        st.integers(min_value=0, max_value=50),
+        st.lists(st.one_of(_grid_arrivals, _ragged_arrivals), min_size=1, max_size=80),
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_matches_list_merge_reference(self, initial_seq, arrivals):
+        """Every observable of the bisect/dict reassembly equals the
+        list-merge reference after every single arrival."""
+        fast = ReceiveReassembly(initial_seq)
+        reference = _ListMergeReassembly(initial_seq)
+        for seq, length in arrivals:
+            assert fast.register(seq, length) == reference.register(seq, length)
+            assert fast.rcv_nxt == reference.rcv_nxt
+            assert fast.out_of_order_ranges == reference.out_of_order_ranges
+            for limit in range(1, 5):
+                assert fast.sack_blocks(limit) == reference.sack_blocks(limit)
+            assert fast.duplicate_bytes == reference.duplicate_bytes
+            assert bool(fast.ranges) == bool(reference.out_of_order_ranges)
+
+
+class _WindowWalkScoreboard:
+    """Reference model: the per-ACK scoreboard loops of ``TcpSocket`` before
+    they moved into :class:`RetransmissionQueue`.
+
+    ``process_sack`` checks every queued segment against the option on each
+    ACK; ``retransmit_lost`` scans the whole queue for lost segments.
+    """
+
+    def __init__(self, segments):
+        self.segments = segments
+
+    def process_sack(self, sack):
+        highest = sack.highest
+        newly_lost = False
+        sample = None
+        for sent in self.segments:
+            if not sent.sacked and sack.covers(sent.seq, sent.end_seq):
+                sent.sacked = True
+                sent.lost = False
+                if not sent.retransmitted:
+                    sample = sent
+            elif (
+                not sent.sacked
+                and not sent.lost
+                and not sent.retransmitted
+                and sent.end_seq <= highest
+            ):
+                sent.lost = True
+                newly_lost = True
+        return sample, newly_lost
+
+    def retransmit_lost(self, budget=3):
+        retransmitted = []
+        for sent in self.segments:
+            if budget <= 0:
+                break
+            if sent.lost and not sent.sacked:
+                sent.retransmitted = True
+                sent.lost = False
+                retransmitted.append(sent.seq)
+                budget -= 1
+        return retransmitted
+
+    def ack_upto(self, ack):
+        while self.segments and self.segments[0].end_seq <= ack:
+            self.segments.pop(0)
+
+
+# One scoreboard operation: a SACK option, a lost-segment retransmission
+# round, a head retransmission (fast retransmit / RTO) or a cumulative ACK.
+# SACK blocks are either aligned to segment boundaries (as a receiver sends
+# them; ``("segments", i, n)`` spans n segments from the i-th) or ragged
+# byte ranges; both are offsets into the queue's span, so a later ACK's
+# highest block may well sit below an earlier one's.
+_sack_block_specs = st.one_of(
+    st.tuples(st.just("segments"), st.integers(min_value=0, max_value=24), st.integers(min_value=1, max_value=6)),
+    st.tuples(st.just("bytes"), st.integers(min_value=0, max_value=2400), st.integers(min_value=1, max_value=700)),
+)
+_scoreboard_ops = st.one_of(
+    st.tuples(st.just("sack"), st.lists(_sack_block_specs, min_size=1, max_size=4)),
+    st.tuples(st.just("retransmit_lost"), st.integers(min_value=0, max_value=5)),
+    st.tuples(st.just("retransmit_head"), st.just(0)),
+    st.tuples(st.just("ack"), st.integers(min_value=0, max_value=2400)),
+)
+
+
+class TestSackScoreboardDifferential:
+    @given(
+        st.integers(min_value=0, max_value=1000),
+        st.lists(
+            st.tuples(
+                st.sampled_from([100, 100, 100, 40, 250]),
+                st.booleans(),
+                st.booleans(),
+            ),
+            min_size=0,
+            max_size=24,
+        ),
+        st.lists(_scoreboard_ops, min_size=1, max_size=30),
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_matches_window_walk_reference(self, base, shape, ops):
+        """apply_sack/take_lost agree with the window-walking loops on every
+        flag, RTT sample, newly-lost verdict and retransmitted sequence."""
+        queue = RetransmissionQueue()
+        reference_segments = []
+        seq = base
+        boundaries = [base]
+        for length, sacked, retransmitted in shape:
+            flags = {"retransmitted": retransmitted, "sacked": sacked}
+            queue.push(SentSegment(seq, length, None, 0.0, 0.0, **flags))
+            reference_segments.append(SentSegment(seq, length, None, 0.0, 0.0, **flags))
+            seq += length
+            boundaries.append(seq)
+
+        def block(kind, first, size):
+            if kind == "bytes":
+                return (base + first, base + first + size)
+            first = min(first, len(boundaries) - 1)
+            last = first + size
+            start = boundaries[first]
+            return (start, boundaries[last] if last < len(boundaries) else start + 100 * size)
+
+        reference = _WindowWalkScoreboard(reference_segments)
+        def scoreboard(segments):
+            return [(s.seq, s.length, s.sacked, s.lost, s.retransmitted) for s in segments]
+
+        for op, argument in ops:
+            if op == "sack":
+                blocks = tuple(block(*spec) for spec in argument)
+                sack = SackOption(blocks=blocks)
+                sample, newly_lost = queue.apply_sack(sack.blocks)
+                expected_sample, expected_lost = reference.process_sack(sack)
+                assert newly_lost == expected_lost
+                assert (sample.seq if sample else None) == (
+                    expected_sample.seq if expected_sample else None
+                )
+            elif op == "retransmit_lost":
+                taken = queue.take_lost(argument)
+                for sent in taken:
+                    sent.retransmitted = True
+                assert [s.seq for s in taken] == reference.retransmit_lost(argument)
+            elif op == "retransmit_head":
+                for head in (queue.head(), reference.segments[0] if reference.segments else None):
+                    if head is not None:
+                        head.retransmitted = True
+            else:
+                queue.ack_upto(base + argument)
+                reference.ack_upto(base + argument)
+            assert scoreboard(queue.segments) == scoreboard(reference.segments)
 
 
 class TestRttProperties:
