@@ -32,6 +32,6 @@ def test_fig2c_refresh_vs_ndiffports(benchmark):
     ndiff_paths = [run.distinct_paths for run in result.runs if run.variant == "ndiffports"]
     assert sum(refresh_paths) / len(refresh_paths) >= sum(ndiff_paths) / len(ndiff_paths)
     # At this benchmark's reduced scale the transfer only spans a couple of
-    # refresh rounds; full-length runs (see EXPERIMENTS.md) converge to all
-    # four paths.
+    # refresh rounds; full-length runs (``runner fig2c --scale 1.0``)
+    # converge to all four paths.
     assert max(refresh_paths) >= 3

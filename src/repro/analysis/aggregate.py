@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Iterable, Mapping, Optional, Sequence
 
 from repro.analysis.cdf import Cdf
-from repro.analysis.stats import SummaryStats, _percentile, summarize
+from repro.analysis.stats import SummaryStats, percentile, summarize
 
 #: The grid axes cells can be grouped by.
 GROUP_AXES = ("experiment", "scenario", "scheduler", "controller", "connections")
@@ -55,8 +55,8 @@ def fold_series(values: Iterable[float], prefix: str) -> dict[str, Optional[floa
     return {
         f"{prefix}_sum": sum(data),
         f"{prefix}_mean": sum(data) / len(data),
-        f"{prefix}_p50": _percentile(data, 0.50),
-        f"{prefix}_p95": _percentile(data, 0.95),
+        f"{prefix}_p50": percentile(data, 0.50),
+        f"{prefix}_p95": percentile(data, 0.95),
         f"{prefix}_min": data[0],
         f"{prefix}_max": data[-1],
     }

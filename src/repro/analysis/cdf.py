@@ -7,7 +7,7 @@ the common representation the experiments and benchmarks print.
 from __future__ import annotations
 
 from bisect import bisect_right
-from typing import Iterable, Sequence
+from typing import Iterable
 
 
 class Cdf:
@@ -44,6 +44,9 @@ class Cdf:
         """The value below which ``fraction`` of the samples fall.
 
         Uses the nearest-rank definition; ``fraction`` is in ``[0, 1]``.
+        It deliberately differs from the interpolating
+        :func:`repro.analysis.stats.percentile`: the figure reports print
+        these values, so switching definitions would change their numbers.
         """
         if not self._samples:
             raise ValueError("cannot evaluate an empty CDF")
@@ -87,10 +90,6 @@ class Cdf:
         """The staircase points (value, cumulative fraction)."""
         total = len(self._samples)
         return [(value, (index + 1) / total) for index, value in enumerate(self._samples)]
-
-    def at_fractions(self, fractions: Sequence[float]) -> list[tuple[float, float]]:
-        """Evaluate the inverse CDF at the given cumulative fractions."""
-        return [(fraction, self.percentile(fraction)) for fraction in fractions]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         if not self._samples:

@@ -236,26 +236,6 @@ def load_baseline(path: str) -> dict:
         return json.load(handle)
 
 
-def baseline_ratios(baseline: Mapping[str, Any]) -> dict[str, float]:
-    """The committed bulk-vs-workload ratios, deriving them for old files.
-
-    Baselines written before the four-workload format carry a single
-    ``bulk_vs_http_ratio`` field; those are translated so the gate keeps
-    working against history.
-    """
-    ratios = baseline.get("ratios_vs_bulk")
-    if ratios is not None:
-        return {name: float(value) for name, value in ratios.items()}
-    derived: dict[str, float] = {}
-    workloads = baseline.get("workloads", {})
-    anchor = workloads.get(RATIO_ANCHOR, {}).get("cells_per_s")
-    if anchor:
-        for name, stats in workloads.items():
-            if name != RATIO_ANCHOR and stats.get("cells_per_s"):
-                derived[name] = anchor / stats["cells_per_s"]
-    return derived
-
-
 def ratio_drifts(
     results: Mapping[str, BenchResult], baseline: Mapping[str, Any]
 ) -> dict[str, float]:
@@ -263,10 +243,12 @@ def ratio_drifts(
 
     ``0.0`` means the ratio matches the committed baseline exactly;
     ``+0.10`` means the workload got 10 % slower *relative to bulk* (or
-    bulk relatively faster).  Workloads absent from either side are
-    skipped — the caller decides whether missing coverage is an error.
+    bulk relatively faster).  ``baseline`` is a committed
+    ``BENCH_workloads.json`` document, compared through its
+    ``ratios_vs_bulk``.  Workloads absent from either side are skipped —
+    the caller decides whether missing coverage is an error.
     """
-    recorded = baseline_ratios(baseline)
+    recorded = {name: float(value) for name, value in baseline["ratios_vs_bulk"].items()}
     anchor = results.get(RATIO_ANCHOR)
     drifts: dict[str, float] = {}
     if anchor is None:

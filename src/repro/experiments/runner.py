@@ -2,14 +2,14 @@
 
 Runs one (or all) of the paper-reproduction experiments and prints the
 text rendering of the corresponding figure.  Scaling options keep the run
-times reasonable on a laptop; EXPERIMENTS.md records both the scaled
-defaults and full-size reference runs.
+times reasonable on a laptop; ``docs/CLI.md`` lists each figure's scaled
+defaults.
 
 Beyond the figure presets, ``sweep`` runs a named campaign grid, ``cell``
 runs one arbitrary workload × scenario × controller × scheduler point of
 the harness, ``list`` prints every registry the grid is built from, and
 the regression-gate pair ``baseline`` / ``diff`` snapshots a campaign to
-a committed JSON file and compares a fresh (or cached) run against it —
+a committed JSON file and compares a fresh (or stored) run against it —
 ``diff`` exits non-zero on out-of-tolerance drift, which is what CI keys
 on.
 
@@ -93,7 +93,6 @@ def _campaign_kwargs(args: argparse.Namespace) -> dict:
     """The ``run_campaign`` keywords shared by every campaign subcommand."""
     return {
         "workers": args.workers,
-        "cache_dir": args.cache_dir,
         "backend": getattr(args, "backend", None),
         "store_dir": getattr(args, "store", None),
     }
@@ -149,7 +148,7 @@ def _run_trace(args: argparse.Namespace) -> str:
 
 
 def _run_telemetry(args: argparse.Namespace) -> str:
-    """Run (or cache-replay) a grid and print its campaign telemetry."""
+    """Run (or replay from a store) a grid and print its campaign telemetry."""
     from repro.obs import format_telemetry_report, summarize_telemetry
 
     grid = named_grid(args.grid, campaign_seed=args.seed)
@@ -185,15 +184,13 @@ def _run_diff(args: argparse.Namespace) -> HandlerResult:
     The reference (left) side is always the ``--baseline`` snapshot file.
     The candidate (right) side is, in order of preference: another
     snapshot file (``--candidate``), the campaign store alone
-    (``--from-store``, no cells are run), the legacy cell cache alone
-    (``--from-cache``), or a fresh run of ``--grid`` (which still reuses
-    ``--store``/``--cache-dir`` when given).  Grid name and campaign seed
+    (``--from-store``, no cells are run), or a fresh run of ``--grid``
+    (which still reuses ``--store`` when given).  Grid name and campaign seed
     default to the snapshot's own, so the common call is just
     ``diff --baseline baselines/<grid>.json``.
     """
     from repro.sweep.baseline import (
         Baseline,
-        baseline_from_cache,
         baseline_from_store,
         load_baseline,
     )
@@ -204,9 +201,7 @@ def _run_diff(args: argparse.Namespace) -> HandlerResult:
         conflicting = [
             flag for flag, value in (
                 ("--grid", args.grid), ("--seed", args.seed),
-                ("--cache-dir", args.cache_dir),
                 ("--store", args.store),
-                ("--from-cache", args.from_cache or None),
                 ("--from-store", args.from_store or None),
             ) if value is not None
         ]
@@ -224,10 +219,6 @@ def _run_diff(args: argparse.Namespace) -> HandlerResult:
             if args.store is None:
                 raise SystemExit("diff --from-store requires --store")
             candidate = baseline_from_store(grid, args.store)
-        elif args.from_cache:
-            if args.cache_dir is None:
-                raise SystemExit("diff --from-cache requires --cache-dir")
-            candidate = baseline_from_cache(grid, args.cache_dir)
         else:
             result = run_campaign(grid, **_campaign_kwargs(args))
             candidate = Baseline.from_result(result, source=f"run of grid '{grid_name}'")
@@ -380,7 +371,6 @@ def _format_store_stats(store) -> list[str]:
     lines = [
         f"store {stats['root']}:",
         f"  objects: {stats['objects']} ({stats['object_bytes']} bytes)",
-        f"  legacy flat entries: {stats['legacy_entries']}",
         f"  campaigns: {stats['campaigns']}, manifests: {stats['manifests']}",
     ]
     for campaign_id in stats["campaign_ids"]:
@@ -400,20 +390,12 @@ def _format_store_stats(store) -> list[str]:
 
 
 def _run_store(args: argparse.Namespace) -> HandlerResult:
-    """Inspect or maintain a campaign store (stats/migrate/manifest/verify)."""
+    """Inspect or verify a campaign store (stats/manifest/verify)."""
     from repro.store import CampaignStore
 
     store = CampaignStore(args.store)
     if args.action == "stats":
         return "\n".join(_format_store_stats(store))
-    if args.action == "migrate":
-        counts = store.migrate_legacy_cache(args.from_cache)
-        source = args.from_cache if args.from_cache is not None else store.root
-        return (
-            f"migrated {counts['migrated']} legacy cell(s) from {source} "
-            f"into {store.objects_dir} "
-            f"({counts['skipped']} already stored, {counts['invalid']} invalid)"
-        )
     if args.action == "manifest":
         campaign_id = args.campaign
         if campaign_id is None:
@@ -648,7 +630,7 @@ def _add_campaign_options(
     grid_default: Optional[str] = "default",
     grid_required: bool = False,
 ) -> None:
-    """The grid/worker/cache flags shared by ``sweep``/``baseline``/``diff``.
+    """The grid/worker/store flags shared by ``sweep``/``baseline``/``diff``.
 
     ``baseline`` requires an explicit grid (a snapshot of the wrong grid
     is a silent footgun) and ``diff`` defaults to the snapshot's own grid
@@ -668,8 +650,6 @@ def _add_campaign_options(
     else:
         parser.add_argument("--grid", default=grid_default, help=grid_help)
     parser.add_argument("--workers", type=int, default=1, help="worker processes")
-    parser.add_argument("--cache-dir", default=None,
-                        help="directory for the on-disk cell cache")
     _add_store_options(parser)
 
 
@@ -757,10 +737,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="compare another snapshot file instead of running the grid",
     )
     diff_parser.add_argument(
-        "--from-cache", action="store_true",
-        help="load the candidate purely from --cache-dir (error on missing cells)",
-    )
-    diff_parser.add_argument(
         "--from-store", action="store_true",
         help="load the candidate purely from --store (error on missing cells)",
     )
@@ -776,8 +752,6 @@ def build_parser() -> argparse.ArgumentParser:
     fuzz_parser.add_argument("--seeds", type=int, default=2,
                              help="fault-plan seeds per scenario (the fuzz axis)")
     fuzz_parser.add_argument("--workers", type=int, default=1, help="worker processes")
-    fuzz_parser.add_argument("--cache-dir", default=None,
-                             help="directory for the on-disk cell cache")
     _add_store_options(fuzz_parser)
     fuzz_parser.add_argument("--json", default=None,
                              help="also write the byte-stable triage JSON here")
@@ -907,19 +881,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     store_parser = subparsers.add_parser(
         "store",
-        help="inspect or maintain a campaign store",
+        help="inspect or verify a campaign store",
     )
     store_parser.add_argument(
-        "action", choices=("stats", "migrate", "manifest", "verify"),
-        help="stats: object/manifest/artifact counts; migrate: import a legacy "
-        "flat cell cache; manifest: print a campaign's latest snapshot manifest; "
+        "action", choices=("stats", "manifest", "verify"),
+        help="stats: object/manifest/artifact counts; "
+        "manifest: print a campaign's latest snapshot manifest; "
         "verify: recheck every object against its content hash (exit 1 on damage)",
     )
     store_parser.add_argument("--store", required=True, metavar="DIR",
                               help="campaign store directory")
-    store_parser.add_argument("--from-cache", default=None, metavar="DIR",
-                              help="migrate: legacy cache directory to import "
-                              "(default: the store root's own flat entries)")
     store_parser.add_argument("--campaign", default=None, metavar="ID",
                               help="manifest: campaign id (default: the store's "
                               "only campaign)")

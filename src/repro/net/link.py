@@ -141,12 +141,6 @@ class Link:
             raise ValueError(f"loss rate must be within [0, 1], got {loss_rate!r}")
         self._loss_rate = float(loss_rate)
 
-    def set_delay(self, delay: float) -> None:
-        """Change the one-way propagation delay at runtime."""
-        if delay < 0:
-            raise ValueError(f"link delay cannot be negative, got {delay!r}")
-        self._delay = float(delay)
-
     def connect(self, side_a: Interface, side_b: Interface) -> "Link":
         """Plug the two interfaces into this link.  Returns ``self``."""
         if self._ends:

@@ -4,7 +4,7 @@ Telemetry answers the operational questions the deterministic result
 payload must not: where does a campaign spend its wall clock, which
 cells dominate, how fast is the simulator actually running?  Because
 wall time varies run to run, telemetry lives strictly *outside* the
-config hash, the cell cache entries, and ``to_canonical_json()`` —
+config hash, the campaign store's objects, and ``to_canonical_json()`` —
 the sweep engine records it on each :class:`~repro.sweep.engine.CellOutcome`
 as a side channel, and ``runner telemetry`` summarises it.
 """
@@ -12,7 +12,9 @@ as a side channel, and ``runner telemetry`` summarises it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, Optional, Sequence
+
+from repro.analysis.stats import percentile
 
 __all__ = ["CellTelemetry", "format_telemetry_report", "summarize_telemetry"]
 
@@ -41,19 +43,6 @@ class CellTelemetry:
             "sim_events": self.sim_events,
             "events_per_s": self.events_per_s,
         }
-
-
-def _percentile(sorted_values: Sequence[float], fraction: float) -> float:
-    """Linear-interpolation percentile over an already-sorted sequence."""
-    if not sorted_values:
-        return 0.0
-    if len(sorted_values) == 1:
-        return float(sorted_values[0])
-    rank = fraction * (len(sorted_values) - 1)
-    low = int(rank)
-    high = min(low + 1, len(sorted_values) - 1)
-    weight = rank - low
-    return float(sorted_values[low] * (1.0 - weight) + sorted_values[high] * weight)
 
 
 def summarize_telemetry(
@@ -85,8 +74,8 @@ def summarize_telemetry(
         "slowest": [t.as_dict() for t in slowest],
         "events_per_s_distribution": {
             "min": rates[0] if rates else 0.0,
-            "p50": _percentile(rates, 0.50),
-            "p95": _percentile(rates, 0.95),
+            "p50": percentile(rates, 0.50) if rates else 0.0,
+            "p95": percentile(rates, 0.95) if rates else 0.0,
             "max": rates[-1] if rates else 0.0,
         },
     }

@@ -12,7 +12,7 @@ from __future__ import annotations
 import hashlib
 import random
 import zlib
-from typing import Iterable, Sequence, TypeVar
+from typing import Sequence, TypeVar
 
 T = TypeVar("T")
 
@@ -117,8 +117,3 @@ class RandomSource:
     def ephemeral_port(self, low: int = 32768, high: int = 60999) -> int:
         """Draw an ephemeral source port from the Linux default range."""
         return self._rng.randint(low, high)
-
-    def pick_weighted(self, options: Iterable[T], weights: Iterable[float]) -> T:
-        """Pick one option with the given relative weights."""
-        choices = list(options)
-        return self._rng.choices(choices, weights=list(weights), k=1)[0]

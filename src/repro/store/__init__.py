@@ -8,6 +8,7 @@ regression gate, fault triage and fuzz tooling read it — see
 :mod:`repro.store.campaign` for the layout and guarantees.
 """
 
+from repro.store.atomic import atomic_write_text
 from repro.store.campaign import (
     MANIFEST_FORMAT_VERSION,
     CampaignStore,
@@ -20,6 +21,7 @@ __all__ = [
     "CampaignStore",
     "Manifest",
     "MANIFEST_FORMAT_VERSION",
+    "atomic_write_text",
     "campaign_id_for",
     "content_hash",
 ]

@@ -14,7 +14,9 @@ the fuzz corpus, telemetry tooling — reads one on-disk layout:
 (:meth:`repro.sweep.grid.CellSpec.config_hash`) — a content address over
 the cell's full configuration, so a cell computed by any worker, host or
 backend lands at the same path with the same bytes and a second writer is
-simply a no-op.  Objects are never rewritten.
+simply a no-op.  A valid object is never rewritten; only one that does
+not read as a hit (torn, foreign or stale-schema) is replaced by the
+recomputed cell.
 
 *Manifests* are Iceberg-style snapshots: each commit is a new, atomically
 written file carrying the campaign id, the grid, the schema version and
@@ -24,11 +26,6 @@ sees either the previous snapshot or the next one, never a torn state —
 and a campaign killed mid-run leaves a valid partial manifest plus its
 completed objects, from which the engine resumes by recomputing only the
 missing cells.
-
-Legacy flat :class:`~repro.sweep.cache.CellCache` directories (bare
-``<hash>.json`` files at the root) are readable in place — the migration
-shim — and :meth:`CampaignStore.migrate_legacy_cache` imports them into
-``objects/`` permanently.
 """
 
 from __future__ import annotations
@@ -39,7 +36,7 @@ import os
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional, Sequence
 
-from repro.sweep.cache import atomic_write_text
+from repro.store.atomic import atomic_write_text
 from repro.sweep.grid import SWEEP_FORMAT_VERSION
 
 #: Bump when the manifest schema changes incompatibly.
@@ -151,8 +148,8 @@ class CampaignStore:
     """A directory of immutable campaign objects plus snapshot manifests.
 
     Opening a store creates nothing; directories appear lazily on first
-    write, so pointing a store at a legacy read-only cache directory is
-    side-effect free.
+    write, so reading a store (stats, verify, a diff gate) is side-effect
+    free.
     """
 
     def __init__(self, root: str) -> None:
@@ -172,34 +169,31 @@ class CampaignStore:
     def _object_path(self, config_hash: str) -> str:
         return os.path.join(self.objects_dir, f"{config_hash}.json")
 
-    def _legacy_path(self, config_hash: str) -> str:
-        return os.path.join(self._root, f"{config_hash}.json")
-
     def has_cell(self, config_hash: str) -> bool:
-        """Whether a valid object (or legacy entry) exists for this hash."""
+        """Whether a valid object exists for this hash."""
         return self.get_cell(config_hash) is not None
 
     def get_cell(self, config_hash: str) -> Optional[dict]:
         """The stored entry for ``config_hash``, or ``None``.
 
-        Corrupt/truncated objects and objects stamped with a different
-        ``sweep_format_version`` are misses — the engine recomputes the
-        cell rather than passing a stale-schema payload downstream.  When
-        no object exists, the legacy flat :class:`CellCache` layout at the
-        store root is consulted (the migration shim); legacy entries
-        without a version stamp predate it and are accepted.
+        Corrupt/truncated objects, objects without a ``result`` and
+        objects stamped with a different ``sweep_format_version`` are
+        misses — the engine recomputes the cell rather than passing a
+        stale-schema payload downstream.
         """
-        entry = self._read_json(self._object_path(config_hash))
-        if entry is not None:
-            # Objects are always written stamped: a missing or mismatched
-            # stamp means the file is foreign or stale either way.
-            if entry.get("sweep_format_version") != SWEEP_FORMAT_VERSION:
-                return None
-            return entry
-        entry = self._read_json(self._legacy_path(config_hash))
-        if entry is None:
-            return None
-        if entry.get("sweep_format_version", SWEEP_FORMAT_VERSION) != SWEEP_FORMAT_VERSION:
+        return self._read_cell(self._object_path(config_hash))
+
+    @classmethod
+    def _read_cell(cls, path: str) -> Optional[dict]:
+        """The object at ``path`` if it reads as a hit, else ``None``."""
+        entry = cls._read_json(path)
+        # Objects are always written stamped: a missing or mismatched
+        # stamp means the file is foreign or stale either way.
+        if (
+            entry is None
+            or entry.get("sweep_format_version") != SWEEP_FORMAT_VERSION
+            or "result" not in entry
+        ):
             return None
         return entry
 
@@ -213,17 +207,18 @@ class CampaignStore:
         return entry if isinstance(entry, dict) else None
 
     def put_cell(self, config_hash: str, entry: Mapping) -> bool:
-        """Store a cell object; returns ``False`` if it already exists.
+        """Store a cell object; returns ``False`` if a valid one exists.
 
         Objects are immutable: the first complete write wins and every
         later writer of the same hash is a no-op, which is what lets any
         number of workers — in-process, subprocesses, other hosts — share
-        one store without coordination.  The one exception is a damaged
-        object (torn write, manual truncation): it reads as a miss, so the
-        recomputed cell must be allowed to heal it.
+        one store without coordination.  The one exception is an object
+        that reads as a miss (torn write, manual truncation, a stale
+        schema stamp, no ``result``): the recomputed cell must be allowed
+        to heal it, or it would be recomputed on every run.
         """
         path = self._object_path(config_hash)
-        if os.path.exists(path) and self._read_json(path) is not None:
+        if self._read_cell(path) is not None:
             return False
         payload = dict(entry)
         payload.setdefault("sweep_format_version", SWEEP_FORMAT_VERSION)
@@ -245,49 +240,6 @@ class CampaignStore:
 
     def __len__(self) -> int:
         return len(self.object_hashes())
-
-    # -- migration shim -------------------------------------------------
-    def legacy_entries(self) -> list[str]:
-        """Hashes of legacy flat-layout cache files at the store root."""
-        try:
-            names = os.listdir(self._root)
-        except OSError:
-            return []
-        return sorted(
-            name[:-5]
-            for name in names
-            if name.endswith(".json") and os.path.isfile(os.path.join(self._root, name))
-        )
-
-    def migrate_legacy_cache(self, cache_dir: Optional[str] = None) -> dict:
-        """Import a flat :class:`CellCache` directory into ``objects/``.
-
-        ``cache_dir`` defaults to the store root itself (the in-place
-        migration).  Returns counts: ``migrated`` entries written,
-        ``skipped`` already present as objects, ``invalid`` unreadable or
-        shaped wrong (left untouched for inspection).  Idempotent.
-        """
-        source = os.path.abspath(cache_dir) if cache_dir is not None else self._root
-        migrated = skipped = invalid = 0
-        try:
-            names = sorted(os.listdir(source))
-        except OSError:
-            names = []
-        for name in names:
-            if not name.endswith(".json"):
-                continue
-            path = os.path.join(source, name)
-            if not os.path.isfile(path):
-                continue
-            entry = self._read_json(path)
-            if entry is None or "result" not in entry:
-                invalid += 1
-                continue
-            if self.put_cell(name[:-5], entry):
-                migrated += 1
-            else:
-                skipped += 1
-        return {"migrated": migrated, "skipped": skipped, "invalid": invalid}
 
     # -- manifests ------------------------------------------------------
     @property
@@ -425,7 +377,6 @@ class CampaignStore:
             "root": self._root,
             "objects": len(object_hashes),
             "object_bytes": object_bytes,
-            "legacy_entries": len(self.legacy_entries()),
             "campaigns": len(campaigns),
             "campaign_ids": campaigns,
             "manifests": manifest_count,

@@ -3,9 +3,9 @@
 The paper evaluates one scenario per figure; this package turns the same
 machinery into a campaign engine: declare a grid of experiment × scenario ×
 scheduler × controller × seed, expand it into cells, run the cells across
-worker processes (deterministically — see :mod:`repro.sweep.engine`), cache
-completed cells on disk, and aggregate the metrics into percentile tables
-and cross-scenario CDFs.
+worker processes (deterministically — see :mod:`repro.sweep.engine`), keep
+completed cells in a :class:`~repro.store.CampaignStore`, and aggregate the
+metrics into percentile tables and cross-scenario CDFs.
 
 Cells execute through the unified workload harness
 (:mod:`repro.workloads`): the experiment axis is the workload registry, so
@@ -28,13 +28,11 @@ from repro.sweep.baseline import (
     BASELINE_FORMAT_VERSION,
     Baseline,
     BaselineCell,
-    baseline_from_cache,
     baseline_from_manifest,
     baseline_from_store,
     load_baseline,
     write_baseline,
 )
-from repro.sweep.cache import CellCache, atomic_write_text
 from repro.sweep.cells import (
     CONTROLLERS,
     EXPERIMENTS,
@@ -68,7 +66,6 @@ from repro.sweep.report import format_campaign_report, format_diff_report
 __all__ = [
     "CampaignGrid",
     "CellSpec",
-    "CellCache",
     "CellOutcome",
     "CampaignPlan",
     "CampaignResult",
@@ -76,7 +73,6 @@ __all__ = [
     "plan_campaign",
     "execute_plan",
     "merge_campaign",
-    "atomic_write_text",
     "ExecutionBackend",
     "SerialBackend",
     "ProcessPoolBackend",
@@ -96,7 +92,6 @@ __all__ = [
     "SWEEP_FORMAT_VERSION",
     "Baseline",
     "BaselineCell",
-    "baseline_from_cache",
     "baseline_from_store",
     "baseline_from_manifest",
     "load_baseline",

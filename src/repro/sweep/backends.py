@@ -149,7 +149,7 @@ class SubprocessShardBackend(ExecutionBackend):
 
     Telemetry is a wall-clock side channel the store deliberately does not
     carry, so cells executed by this backend report zero wall time (like
-    cache hits).
+    store hits).
     """
 
     name = "subprocess"
@@ -176,7 +176,7 @@ class SubprocessShardBackend(ExecutionBackend):
             for index, spec in pending:
                 config_hash = spec.config_hash(campaign_seed)
                 entry = store.get_cell(config_hash)
-                if entry is None or "result" not in entry:
+                if entry is None:
                     raise RuntimeError(
                         f"worker shard completed but cell {spec.key!r} "
                         f"({config_hash}) is missing from store {store.root!r}"

@@ -7,14 +7,12 @@ turns every future PR into an automatically checked experiment: CI re-runs
 the grid and :mod:`repro.sweep.diff` compares the fresh cells against the
 snapshot cell by cell.
 
-Four sources produce the same :class:`Baseline` shape, so the diff layer
+Three sources produce the same :class:`Baseline` shape, so the diff layer
 never cares where a campaign came from:
 
 * a live run (:meth:`Baseline.from_result`),
 * a content-addressed campaign store (:func:`baseline_from_store`, or
   :func:`baseline_from_manifest` for a committed snapshot manifest),
-* a legacy on-disk cell cache (:func:`baseline_from_cache` — a shim over
-  the store's legacy read-through),
 * a committed snapshot file (:func:`load_baseline`).
 """
 
@@ -25,7 +23,7 @@ import os
 from dataclasses import dataclass
 from typing import Mapping, Optional
 
-from repro.sweep.cache import atomic_write_text
+from repro.store.atomic import atomic_write_text
 from repro.sweep.engine import CampaignResult
 from repro.sweep.grid import CampaignGrid, SWEEP_FORMAT_VERSION
 
@@ -165,8 +163,7 @@ def baseline_from_store(
     ``store`` is a :class:`~repro.store.CampaignStore` or a path to one.
     Every cell of ``grid`` must already be stored (a previous run with the
     same campaign seed); missing cells raise, naming the first few,
-    instead of silently producing a partial campaign.  Legacy flat
-    :class:`CellCache` directories read through unchanged.
+    instead of silently producing a partial campaign.
     """
     from repro.store import CampaignStore
 
@@ -177,7 +174,7 @@ def baseline_from_store(
     for spec in grid.expand():
         config_hash = spec.config_hash(grid.campaign_seed)
         entry = store.get_cell(config_hash)
-        if entry is None or "result" not in entry:
+        if entry is None:
             missing.append(spec.key)
             continue
         cells.append(
@@ -235,7 +232,7 @@ def baseline_from_manifest(store, campaign_id: Optional[str] = None) -> Baseline
     cells: list[BaselineCell] = []
     for config_hash in manifest.cells:
         entry = store.get_cell(config_hash)
-        if entry is None or "result" not in entry:
+        if entry is None:
             raise ValueError(
                 f"manifest names cell {config_hash} but the store object is missing/corrupt"
             )
@@ -261,20 +258,6 @@ def _spec_key(spec: Mapping) -> str:
     from repro.sweep.grid import CellSpec
 
     return CellSpec.from_dict(spec).key
-
-
-def baseline_from_cache(
-    grid: CampaignGrid,
-    cache_dir: str,
-    name: Optional[str] = None,
-) -> Baseline:
-    """Assemble a baseline from a legacy flat cell-cache directory.
-
-    A compatibility shim: the campaign store reads the flat
-    ``<hash>.json`` layout in place, so this simply delegates to
-    :func:`baseline_from_store` pointed at the cache directory.
-    """
-    return baseline_from_store(grid, cache_dir, name=name)
 
 
 def _normalise(campaign, source: Optional[str] = None) -> Baseline:

@@ -4,7 +4,7 @@ A campaign run is three explicit phases:
 
 1. **plan** — :func:`plan_campaign` expands the grid into cells and
    content-addresses each one (:class:`CampaignPlan`);
-2. **execute** — :func:`execute_plan` resumes whatever the store/cache
+2. **execute** — :func:`execute_plan` resumes whatever the store
    already holds, hands the remaining cells to an
    :class:`~repro.sweep.backends.ExecutionBackend` (serial, process pool,
    or store-mediated subprocess shards), and records completions;
@@ -22,7 +22,7 @@ Determinism contract
 * the number of workers (serial, 2, 4, ...),
 * which execution backend ran the cells,
 * the order in which workers finish cells,
-* whether results came from the store/cache or a fresh run,
+* whether results came from the store or a fresh run,
 * whether the campaign ran once or resumed from a partial store.
 
 This holds because each cell seeds its own simulator purely from the
@@ -46,7 +46,6 @@ from repro.sweep.backends import (
     SerialBackend,
     resolve_backend,
 )
-from repro.sweep.cache import CellCache
 from repro.sweep.grid import SWEEP_FORMAT_VERSION, CampaignGrid, CellSpec
 
 #: Commit a partial snapshot manifest every this many fresh cells, so a
@@ -102,7 +101,7 @@ class CampaignResult:
 
         Excludes run metadata (cache hits, workers, backend, wall time) on
         purpose: this is the byte-identity surface the determinism
-        regression tests compare across worker counts, backends and cache
+        regression tests compare across worker counts, backends and store
         states.
         """
         payload = {
@@ -145,7 +144,8 @@ class CampaignPlan:
 
 def plan_campaign(grid: CampaignGrid) -> CampaignPlan:
     """Validate and expand a grid into a content-addressed plan."""
-    # Imported lazily: repro.store depends on repro.sweep.cache, so the
+    # Imported lazily: repro.store reads SWEEP_FORMAT_VERSION from
+    # repro.sweep.grid, whose package __init__ imports this module, so the
     # store must never be a module-level dependency of the engine.
     from repro.store import campaign_id_for
 
@@ -196,18 +196,16 @@ def execute_plan(
     workers: int = 1,
     backend: Union[str, ExecutionBackend, None] = None,
     store: Optional["CampaignStore"] = None,
-    cache: Optional[CellCache] = None,
     progress: Optional[ProgressCallback] = None,
 ) -> ExecutionState:
     """Run (or resume) every cell of a plan through a backend.
 
-    Cells already present in ``store`` (checked first) or ``cache`` are
-    reused — that is the resume path: a campaign killed mid-run leaves its
-    completed objects and a partial manifest behind, and the next
-    ``execute_plan`` of the same plan recomputes only the missing cells.
-    Fresh results are written to both ``store`` and ``cache`` when given.
-    When a store is attached, partial manifests are committed as the run
-    progresses and a complete one when every cell is in.
+    Cells already present in ``store`` are reused — that is the resume
+    path: a campaign killed mid-run leaves its completed objects and a
+    partial manifest behind, and the next ``execute_plan`` of the same
+    plan recomputes only the missing cells.  When a store is attached,
+    fresh results are written to it, partial manifests are committed as
+    the run progresses and a complete one when every cell is in.
     """
     campaign_seed = plan.grid.campaign_seed
     state = ExecutionState()
@@ -215,9 +213,7 @@ def execute_plan(
     pending: list[tuple[int, CellSpec]] = []
     for index, (spec, config_hash) in enumerate(zip(plan.specs, plan.hashes)):
         entry = store.get_cell(config_hash) if store is not None else None
-        if (entry is None or "result" not in entry) and cache is not None:
-            entry = cache.get(config_hash)
-        if entry is not None and "result" in entry:
+        if entry is not None:
             state.results[index] = entry["result"]
             state.cached_flags[index] = True
             # A hit costs one JSON read; zero wall time keeps the cached
@@ -259,27 +255,26 @@ def execute_plan(
             sim_events=stats["sim_events"],
             events_per_s=stats["events_per_s"],
         )
-        # Storage holds the deterministic result only — telemetry is
-        # wall-clock noise and must never be replayed.
-        entry = {
-            "sweep_format_version": SWEEP_FORMAT_VERSION,
-            "spec": spec.as_dict(),
-            "campaign_seed": campaign_seed,
-            "result": result,
-        }
         if store is not None:
-            store.put_cell(plan.hashes[index], entry)
-        if cache is not None:
-            cache.put(plan.hashes[index], entry)
-        fresh_cells += 1
-        if (
-            store is not None
-            and fresh_cells % MANIFEST_COMMIT_INTERVAL == 0
-            and len(state.results) < plan.cell_count
-        ):
-            store.commit_manifest_if_changed(
-                _plan_manifest(plan, set(state.results), complete=False)
+            # Storage holds the deterministic result only — telemetry is
+            # wall-clock noise and must never be replayed.
+            store.put_cell(
+                plan.hashes[index],
+                {
+                    "sweep_format_version": SWEEP_FORMAT_VERSION,
+                    "spec": spec.as_dict(),
+                    "campaign_seed": campaign_seed,
+                    "result": result,
+                },
             )
+            fresh_cells += 1
+            if (
+                fresh_cells % MANIFEST_COMMIT_INTERVAL == 0
+                and len(state.results) < plan.cell_count
+            ):
+                store.commit_manifest_if_changed(
+                    _plan_manifest(plan, set(state.results), complete=False)
+                )
         if progress is not None:
             progress(spec, result, False, state.telemetries[index])
 
@@ -356,7 +351,6 @@ def merge_campaign(
 def run_campaign(
     grid: CampaignGrid,
     workers: int = 1,
-    cache_dir: Optional[str] = None,
     progress: Optional[ProgressCallback] = None,
     backend: Union[str, ExecutionBackend, None] = None,
     store_dir: Union[str, "CampaignStore", None] = None,
@@ -375,9 +369,6 @@ def run_campaign(
         start the pool (restricted sandboxes), the engine falls back to a
         serial run and flags it in the result — output is identical either
         way.
-    cache_dir:
-        When given, completed cells are stored there in the legacy flat
-        :class:`CellCache` layout and reused on subsequent runs.
     progress:
         Optional callback invoked as ``progress(spec, result, cached,
         telemetry)`` after every cell, in completion order.  The
@@ -402,13 +393,11 @@ def run_campaign(
         store: Optional[CampaignStore] = store_dir
     else:
         store = CampaignStore(store_dir) if store_dir is not None else None
-    cache = CellCache(cache_dir) if cache_dir is not None else None
     state = execute_plan(
         plan,
         workers=workers,
         backend=backend,
         store=store,
-        cache=cache,
         progress=progress,
     )
     return merge_campaign(

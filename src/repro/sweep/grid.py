@@ -89,7 +89,7 @@ class CellSpec:
         return derive_seed(campaign_seed, *components)
 
     def as_dict(self) -> dict:
-        """Plain-dict form (pickled to workers, stored in the cache).
+        """Plain-dict form (pickled to workers, stored in the campaign store).
 
         ``connections`` is omitted at its default of 1 so the canonical
         dict — and therefore :meth:`config_hash` and every committed
@@ -124,7 +124,7 @@ class CellSpec:
         """Content hash identifying this cell's full configuration.
 
         Two cells with the same hash are guaranteed to produce the same
-        result, which is what makes the on-disk cache safe.
+        result, which is what makes reusing a stored cell safe.
         """
         payload = {
             "version": SWEEP_FORMAT_VERSION,

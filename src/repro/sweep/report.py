@@ -36,7 +36,7 @@ def format_campaign_report(result: CampaignResult) -> str:
         f"campaign '{result.name}' (seed {result.campaign_seed}): "
         f"{result.cell_count} cells, "
         f"{result.cache_hits} cached / {result.cache_misses} computed, "
-        # workers_used is 0 when every cell came from the cache.
+        # workers_used is 0 when every cell came from the store.
         f"workers={result.workers_used}, "
         f"wall time {result.wall_time:.1f}s",
     ]

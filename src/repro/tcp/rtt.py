@@ -38,7 +38,6 @@ class RttEstimator:
         self._rto = rto_initial
         self._backoff_exponent = 0
         self._samples = 0
-        self._last_sample: Optional[float] = None
         self._min_rtt: Optional[float] = None
 
     # ------------------------------------------------------------------
@@ -55,7 +54,6 @@ class RttEstimator:
         if rtt < 0:
             raise ValueError(f"RTT cannot be negative, got {rtt!r}")
         self._samples += 1
-        self._last_sample = rtt
         self._min_rtt = rtt if self._min_rtt is None else min(self._min_rtt, rtt)
         if self._srtt is None or self._rttvar is None:
             self._srtt = rtt
@@ -99,11 +97,6 @@ class RttEstimator:
         return self._min_rtt
 
     @property
-    def last_sample(self) -> Optional[float]:
-        """Most recent RTT sample."""
-        return self._last_sample
-
-    @property
     def samples(self) -> int:
         """Number of samples incorporated."""
         return self._samples
@@ -112,11 +105,6 @@ class RttEstimator:
     def backoff_exponent(self) -> int:
         """Number of consecutive RTO doublings currently applied."""
         return self._backoff_exponent
-
-    @property
-    def base_rto(self) -> float:
-        """RTO before exponential backoff."""
-        return self._rto
 
     @property
     def rto(self) -> float:

@@ -258,7 +258,7 @@ class Harness:
             # Stagger the N connection starts over `connection_stagger`
             # seconds.  Each offset derives purely from the spec seed and
             # the connection index, so the start schedule is a function of
-            # the cell coordinates — independent of workers, cache state
+            # the cell coordinates — independent of workers, store state
             # and dict order — and two cells differing only in seed get
             # different arrival patterns.
             stagger = float(params.get("connection_stagger", 1.0))

@@ -383,7 +383,7 @@ def telemetry_grid() -> CampaignGrid:
 class TestCampaignTelemetry:
     def test_fresh_and_cached_cells_are_distinguished(self, tmp_path):
         grid = telemetry_grid()
-        fresh = run_campaign(grid, cache_dir=str(tmp_path))
+        fresh = run_campaign(grid, store_dir=str(tmp_path))
         for cell in fresh.cells:
             assert isinstance(cell.telemetry, CellTelemetry)
             assert not cell.telemetry.cached
@@ -391,7 +391,7 @@ class TestCampaignTelemetry:
             assert cell.telemetry.sim_events > 0
             assert cell.telemetry.events_per_s > 0.0
             assert cell.telemetry.key == cell.spec.key
-        cached = run_campaign(grid, cache_dir=str(tmp_path))
+        cached = run_campaign(grid, store_dir=str(tmp_path))
         for cell in cached.cells:
             assert cell.telemetry.cached
             assert cell.telemetry.wall_time_s == 0.0

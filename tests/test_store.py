@@ -9,10 +9,12 @@ backend ran the cells or how many workers it used.
 
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
-from repro.experiments.grids import quick_grid
+from repro.experiments.grids import named_grid, quick_grid
 from repro.store import (
     MANIFEST_FORMAT_VERSION,
     CampaignStore,
@@ -22,7 +24,6 @@ from repro.store import (
 )
 from repro.sweep import (
     SWEEP_FORMAT_VERSION,
-    CellCache,
     ProcessPoolBackend,
     SerialBackend,
     SubprocessShardBackend,
@@ -97,38 +98,26 @@ class TestObjects:
             json.dump({"result": {"x": 1}, "sweep_format_version": 1}, handle)
         assert store.get_cell("h1") is None
 
+    def test_invalid_object_is_overwritten(self, tmp_path):
+        """put_cell heals exactly what get_cell misses: a stale stamp or
+        an object without a result is replaced, a valid one is kept."""
+        store = CampaignStore(str(tmp_path))
+        os.makedirs(store.objects_dir, exist_ok=True)
+        for config_hash, stale in (
+            ("stale", {"result": {"x": 0}, "sweep_format_version": 1}),
+            ("no-result", {"sweep_format_version": SWEEP_FORMAT_VERSION}),
+        ):
+            with open(os.path.join(store.objects_dir, f"{config_hash}.json"), "w") as handle:
+                json.dump(stale, handle)
+            assert store.get_cell(config_hash) is None
+            assert store.put_cell(config_hash, {"result": {"x": 1}})
+            assert store.get_cell(config_hash)["result"] == {"x": 1}
+            assert not store.put_cell(config_hash, {"result": {"x": 2}})
+
     def test_missing_cells(self, tmp_path):
         store = CampaignStore(str(tmp_path))
         store.put_cell("h1", {"result": {}})
         assert store.missing_cells(["h1", "h2", "h3"]) == ["h2", "h3"]
-
-
-class TestLegacyMigration:
-    def test_flat_cache_reads_through(self, tmp_path):
-        """A legacy CellCache directory is readable in place as a store."""
-        cache = CellCache(str(tmp_path))
-        cache.put("h1", {"result": {"x": 1}})
-        store = CampaignStore(str(tmp_path))
-        assert store.get_cell("h1")["result"] == {"x": 1}
-        assert store.legacy_entries() == ["h1"]
-
-    def test_migrate_is_idempotent(self, tmp_path):
-        cache = CellCache(str(tmp_path / "cache"))
-        cache.put("h1", {"result": {"x": 1}})
-        cache.put("h2", {"result": {"x": 2}})
-        store = CampaignStore(str(tmp_path / "store"))
-        first = store.migrate_legacy_cache(str(tmp_path / "cache"))
-        assert (first["migrated"], first["skipped"], first["invalid"]) == (2, 0, 0)
-        second = store.migrate_legacy_cache(str(tmp_path / "cache"))
-        assert (second["migrated"], second["skipped"]) == (0, 2)
-        assert store.get_cell("h1")["result"] == {"x": 1}
-
-    def test_migrate_counts_invalid_entries(self, tmp_path):
-        (tmp_path / "cache").mkdir()
-        (tmp_path / "cache" / "bad.json").write_text("{nope")
-        store = CampaignStore(str(tmp_path / "store"))
-        counts = store.migrate_legacy_cache(str(tmp_path / "cache"))
-        assert counts == {"migrated": 0, "skipped": 0, "invalid": 1}
 
 
 class TestManifests:
@@ -294,6 +283,28 @@ class TestResume:
         assert rerun.to_canonical_json() == first.to_canonical_json()
         assert not CampaignStore(store_dir).verify_objects()
 
+    def test_stale_schema_object_heals_on_rerun(self, tmp_path):
+        """A wrongly stamped object is recomputed once and rewritten, not
+        recomputed on every run."""
+        grid = tiny_grid()
+        store_dir = str(tmp_path / "store")
+        first = run_campaign(grid, workers=1, store_dir=store_dir)
+        store = CampaignStore(store_dir)
+        victim = os.path.join(store.objects_dir, f"{store.object_hashes()[0]}.json")
+        with open(victim, encoding="utf-8") as handle:
+            entry = json.load(handle)
+        entry["sweep_format_version"] = 1
+        with open(victim, "w", encoding="utf-8") as handle:
+            json.dump(entry, handle)
+        assert store.verify_objects()
+
+        healing = run_campaign(grid, workers=1, store_dir=store_dir)
+        assert (healing.cache_hits, healing.cache_misses) == (1, 1)
+        healed = run_campaign(grid, workers=1, store_dir=store_dir)
+        assert (healed.cache_hits, healed.cache_misses) == (2, 0)
+        assert healed.to_canonical_json() == first.to_canonical_json()
+        assert not store.verify_objects()
+
     def test_store_instance_is_accepted_directly(self, tmp_path):
         store = CampaignStore(str(tmp_path))
         run_campaign(tiny_grid(), workers=1, store_dir=store)
@@ -350,23 +361,12 @@ class TestStoreCli:
         code = runner.main(list(argv))
         return code, capsys.readouterr().out
 
-    def test_stats_migrate_manifest_verify(self, tmp_path, capsys):
+    def test_stats_manifest_verify(self, tmp_path, capsys):
         store_dir = str(tmp_path / "store")
-        # A real legacy cache: same machinery, flat layout, different seed
-        # so its hashes are distinct from the store campaign's.
-        run_campaign(
-            tiny_grid(campaign_seed=99), workers=1, cache_dir=str(tmp_path / "cache")
-        )
         run_campaign(tiny_grid(), workers=1, store_dir=store_dir)
 
-        code, out = self.run_cli(
-            capsys, "store", "migrate", "--store", store_dir,
-            "--from-cache", str(tmp_path / "cache"),
-        )
-        assert code == 0 and "migrated 2 legacy cell(s)" in out
-
         code, out = self.run_cli(capsys, "store", "stats", "--store", store_dir)
-        assert code == 0 and "objects: 4" in out and "campaigns: 1" in out
+        assert code == 0 and "objects: 2" in out and "campaigns: 1" in out
 
         code, out = self.run_cli(capsys, "store", "manifest", "--store", store_dir)
         assert code == 0 and '"complete": true' in out
@@ -406,3 +406,31 @@ class TestStoreCli:
         )
         assert code == 0 and "no out-of-tolerance drift" in out
         assert grid.cell_count == len(CampaignStore(store_dir).object_hashes())
+
+
+@pytest.mark.parametrize("grid_name", ["quick", "workloads"])
+def test_warm_store_rerun_is_all_hits_and_matches_serial(tmp_path, grid_name):
+    """A 2-worker campaign rerun from its warm store answers every cell
+    from the store, and its output is byte-identical to a serial run."""
+    grid = named_grid(grid_name)
+    store_dir = str(tmp_path / "store")
+    cold = run_campaign(grid, workers=2, store_dir=store_dir)
+    assert cold.cache_misses == grid.cell_count
+    warm = run_campaign(grid, workers=2, store_dir=store_dir)
+    assert (warm.cache_hits, warm.cache_misses) == (grid.cell_count, 0)
+    serial = run_campaign(grid, workers=1)
+    assert warm.to_canonical_json() == cold.to_canonical_json() == serial.to_canonical_json()
+
+
+@pytest.mark.parametrize(
+    "statement",
+    ["import repro.store; import repro.sweep", "import repro.sweep; import repro.store"],
+)
+def test_store_and_sweep_import_in_either_order(statement):
+    """Neither package may depend on the other being imported first."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run(
+        [sys.executable, "-c", statement], env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr

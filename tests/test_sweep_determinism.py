@@ -4,7 +4,7 @@ Two guarantees are pinned here:
 
 1. A campaign's aggregated output is byte-identical whether cells run
    serially, on 2 workers, or on 4 workers — and whether results come from
-   the on-disk cache or fresh runs.
+   the campaign store or fresh runs.
 2. Every netem scenario is trace-deterministic: two simulators built with
    the same seed produce identical packet traces, packet for packet.
 """
@@ -201,9 +201,9 @@ class TestCampaignWorkerIndependence:
 
     def test_cached_rerun_is_byte_identical_and_all_hits(self, tmp_path):
         grid = acceptance_grid()
-        first = run_campaign(grid, workers=4, cache_dir=str(tmp_path))
+        first = run_campaign(grid, workers=4, store_dir=str(tmp_path))
         assert first.cache_misses == 24
-        second = run_campaign(grid, workers=4, cache_dir=str(tmp_path))
+        second = run_campaign(grid, workers=4, store_dir=str(tmp_path))
         assert second.cache_hits == 24 and second.cache_misses == 0
         assert first.to_canonical_json() == second.to_canonical_json()
 

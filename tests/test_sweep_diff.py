@@ -21,7 +21,7 @@ from repro.sweep import (
     BaselineCell,
     CampaignGrid,
     Tolerance,
-    baseline_from_cache,
+    baseline_from_store,
     diff_campaigns,
     format_diff_report,
     load_baseline,
@@ -237,13 +237,13 @@ class TestDisjointAndPartialGrids:
 
 class TestSelfDiff:
     def test_self_diff_is_empty_at_any_worker_count(self, tmp_path):
-        """diff(c, c) is empty — serial, parallel, cached, or snapshotted."""
+        """diff(c, c) is empty — serial, parallel, stored, or snapshotted."""
         grid = tiny_grid()
-        serial = run_campaign(grid, workers=1, cache_dir=str(tmp_path / "cache"))
-        parallel = run_campaign(grid, workers=2, cache_dir=str(tmp_path / "cache"))
+        serial = run_campaign(grid, workers=1, store_dir=str(tmp_path / "store"))
+        parallel = run_campaign(grid, workers=2, store_dir=str(tmp_path / "store"))
         snapshot = write_baseline(serial, str(tmp_path / "base.json"))
         reloaded = load_baseline(str(tmp_path / "base.json"))
-        cached = baseline_from_cache(grid, str(tmp_path / "cache"))
+        cached = baseline_from_store(grid, str(tmp_path / "store"))
         for left in (serial, parallel, snapshot, reloaded, cached):
             for right in (serial, parallel, reloaded, cached):
                 diff = diff_campaigns(left, right)
@@ -290,12 +290,12 @@ class TestBaselineFormat:
         with pytest.raises(ValueError, match="duplicate"):
             Baseline(name="x", campaign_seed=1, cells=[cell, cell])
 
-    def test_cache_loading_requires_every_cell(self, tmp_path):
+    def test_store_loading_requires_every_cell(self, tmp_path):
         grid = tiny_grid()
-        run_campaign(grid, workers=1, cache_dir=str(tmp_path))
+        run_campaign(grid, workers=1, store_dir=str(tmp_path))
         bigger = tiny_grid(scenarios=["dual_homed", "asymmetric_loss"])
         with pytest.raises(ValueError, match="missing 2 of 4"):
-            baseline_from_cache(bigger, str(tmp_path))
+            baseline_from_store(bigger, str(tmp_path))
 
     def test_diff_rejects_unknown_campaign_shapes(self):
         with pytest.raises(TypeError, match="cannot diff"):
@@ -368,20 +368,20 @@ class TestRunnerRegressionGate:
 
     def run_quick_baseline(self, tmp_path, capsys):
         baseline_path = str(tmp_path / "quick.json")
-        cache_dir = str(tmp_path / "cache")
+        store_dir = str(tmp_path / "store")
         assert runner.main([
-            "baseline", "--grid", "quick", "--cache-dir", cache_dir,
+            "baseline", "--grid", "quick", "--store", store_dir,
             "--out", baseline_path,
         ]) == 0
         capsys.readouterr()
-        return baseline_path, cache_dir
+        return baseline_path, store_dir
 
     def test_clean_diff_exits_zero(self, tmp_path, capsys):
-        baseline_path, cache_dir = self.run_quick_baseline(tmp_path, capsys)
+        baseline_path, store_dir = self.run_quick_baseline(tmp_path, capsys)
         json_path = str(tmp_path / "diff.json")
         code = runner.main([
             "diff", "--baseline", baseline_path, "--grid", "quick",
-            "--cache-dir", cache_dir, "--json", json_path,
+            "--store", store_dir, "--json", json_path,
         ])
         out = capsys.readouterr().out
         assert code == 0
@@ -390,11 +390,11 @@ class TestRunnerRegressionGate:
         assert payload["summary"]["gate_ok"] is True
 
     def test_perturbed_cached_cell_fails_and_is_named(self, tmp_path, capsys):
-        baseline_path, cache_dir = self.run_quick_baseline(tmp_path, capsys)
-        # Perturb one cached cell's goodput well beyond the 5% tolerance.
+        baseline_path, store_dir = self.run_quick_baseline(tmp_path, capsys)
+        # Perturb one stored cell's goodput well beyond the 5% tolerance.
         import glob
 
-        cell_path = sorted(glob.glob(f"{cache_dir}/*.json"))[0]
+        cell_path = sorted(glob.glob(f"{store_dir}/objects/*.json"))[0]
         entry = json.loads(open(cell_path).read())
         entry["result"]["goodput_mbps"] *= 2
         with open(cell_path, "w", encoding="utf-8") as handle:
@@ -408,7 +408,7 @@ class TestRunnerRegressionGate:
         json_path = str(tmp_path / "diff.json")
         code = runner.main([
             "diff", "--baseline", baseline_path, "--grid", "quick",
-            "--cache-dir", cache_dir, "--from-cache", "--json", json_path,
+            "--store", store_dir, "--from-store", "--json", json_path,
         ])
         out = capsys.readouterr().out
         assert code == 1
@@ -420,10 +420,10 @@ class TestRunnerRegressionGate:
     def test_diff_defaults_grid_and_seed_to_the_snapshot(self, tmp_path, capsys):
         # `diff --baseline baselines/quick.json` alone must gate against
         # the quick grid at the snapshot's seed, not the 24-cell default.
-        baseline_path, cache_dir = self.run_quick_baseline(tmp_path, capsys)
+        baseline_path, store_dir = self.run_quick_baseline(tmp_path, capsys)
         code = runner.main([
-            "diff", "--baseline", baseline_path, "--cache-dir", cache_dir,
-            "--from-cache",
+            "diff", "--baseline", baseline_path, "--store", store_dir,
+            "--from-store",
         ])
         out = capsys.readouterr().out
         assert code == 0
@@ -440,15 +440,15 @@ class TestRunnerRegressionGate:
         ]) == 0
         assert "4 identical" in capsys.readouterr().out
 
-    def test_from_cache_requires_cache_dir(self, tmp_path, capsys):
+    def test_from_store_requires_store(self, tmp_path, capsys):
         baseline_path, _ = self.run_quick_baseline(tmp_path, capsys)
-        with pytest.raises(SystemExit):
-            runner.main(["diff", "--baseline", baseline_path, "--from-cache"])
+        with pytest.raises(SystemExit, match="requires --store"):
+            runner.main(["diff", "--baseline", baseline_path, "--from-store"])
 
     def test_candidate_conflicts_with_run_flags(self, tmp_path, capsys):
-        baseline_path, cache_dir = self.run_quick_baseline(tmp_path, capsys)
-        for extra in (["--grid", "quick"], ["--from-cache"],
-                      ["--cache-dir", cache_dir], ["--seed", "2"]):
+        baseline_path, store_dir = self.run_quick_baseline(tmp_path, capsys)
+        for extra in (["--grid", "quick"], ["--from-store"],
+                      ["--store", store_dir], ["--seed", "2"]):
             with pytest.raises(SystemExit, match="conflicts"):
                 runner.main(["diff", "--baseline", baseline_path,
                              "--candidate", baseline_path, *extra])

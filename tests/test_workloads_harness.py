@@ -202,7 +202,7 @@ class TestWorkloadsCampaign:
         from repro.sweep import run_campaign
         from repro.sweep.report import format_campaign_report
 
-        result = run_campaign(workloads_grid(), workers=1, cache_dir=str(tmp_path))
+        result = run_campaign(workloads_grid(), workers=1, store_dir=str(tmp_path))
         assert result.cell_count == len(WORKLOADS) * len(SCENARIOS)
         assert result.cache_misses == result.cell_count
         for cell in result.cells:
