@@ -31,7 +31,7 @@ from repro.core.manager import SmappManager
 from repro.mptcp.subflow import SubflowOrigin
 from repro.net.addressing import FourTuple
 from repro.netem.scenarios import build_dual_homed
-from repro.workloads import ClientSetup, Harness, HarnessSpec, TraceProbe
+from repro.workloads import ClientSetup, Harness, HarnessSpec, TraceProbe, cell_gc
 
 SERVER_PORT = 5001
 
@@ -103,6 +103,7 @@ def _schedule_loss(run, loss_start: float, loss_percent: float) -> None:
     )
 
 
+@cell_gc()
 def run_fig2a(
     seed: int = 1,
     duration: float = 5.0,

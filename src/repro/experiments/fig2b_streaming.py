@@ -26,7 +26,7 @@ from repro.apps.streaming import StreamingSinkApp
 from repro.core.controllers import SmartStreamingController
 from repro.core.manager import SmappManager
 from repro.netem.scenarios import build_dual_homed
-from repro.workloads import ClientSetup, Harness, HarnessSpec
+from repro.workloads import ClientSetup, Harness, HarnessSpec, cell_gc
 
 SERVER_PORT = 6001
 BLOCK_BYTES = 64 * 1024
@@ -73,6 +73,7 @@ def _smart_streaming_client(ctx, interval: float) -> ClientSetup:
     return ClientSetup(manager.stack, manager=manager, controller=controller)
 
 
+@cell_gc()
 def _run_stream(
     seed: int,
     loss_percent: float,

@@ -27,7 +27,7 @@ from repro.analysis.cdf import Cdf
 from repro.analysis.report import format_cdf_table, format_table
 from repro.net.router import EcmpGroup
 from repro.netem.scenarios import EcmpScenario
-from repro.workloads import Harness, HarnessSpec
+from repro.workloads import Harness, HarnessSpec, cell_gc
 
 SERVER_PORT = 7001
 FULL_FILE_BYTES = 100 * 1024 * 1024
@@ -98,6 +98,7 @@ def _distinct_paths(scenario: EcmpScenario, conn) -> int:
     return len(indices)
 
 
+@cell_gc()
 def _run_once(
     seed: int,
     variant: str,

@@ -27,7 +27,7 @@ from repro.core.manager import SmappManager
 from repro.mptcp.path_manager import NdiffportsPathManager
 from repro.mptcp.stack import MptcpStack
 from repro.sim.latency import LogNormalLatency, ShiftedLatency
-from repro.workloads import ClientSetup, Harness, HarnessSpec, TraceProbe
+from repro.workloads import ClientSetup, Harness, HarnessSpec, TraceProbe, cell_gc
 
 SERVER_PORT = 80
 
@@ -106,6 +106,7 @@ def _calibrated_client(ctx, userspace: bool, stressed: bool) -> ClientSetup:
     )
 
 
+@cell_gc()
 def _run_variant(
     seed: int,
     userspace: bool,

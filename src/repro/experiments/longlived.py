@@ -20,7 +20,7 @@ from functools import partial
 
 from repro.analysis.report import format_table
 from repro.netem.scenarios import build_natted
-from repro.workloads import Harness, HarnessSpec
+from repro.workloads import Harness, HarnessSpec, cell_gc
 
 SERVER_PORT = 9001
 
@@ -74,6 +74,7 @@ def _schedule_interface_flap(run, flap_at: float, recover_after: float) -> None:
     run.sim.schedule(flap_at + recover_after, iface.set_up)
 
 
+@cell_gc()
 def run_longlived(
     seed: int = 1,
     duration: float = 900.0,

@@ -34,6 +34,7 @@ from repro.experiments.grids import named_grid
 from repro.experiments.longlived import run_longlived
 from repro.sweep.engine import run_campaign
 from repro.sweep.report import format_campaign_report, format_diff_report
+from repro.workloads.harness import cell_gc
 
 #: A handler returns the report text, optionally paired with an exit code.
 HandlerResult = Union[str, tuple[str, int]]
@@ -107,6 +108,7 @@ def _run_sweep(args: argparse.Namespace) -> str:
     return format_campaign_report(result)
 
 
+@cell_gc()
 def _run_trace(args: argparse.Namespace) -> str:
     """Run one traced harness cell and export its structured event log."""
     from repro.obs import chrome_trace, events_jsonl
@@ -421,6 +423,7 @@ def _run_store(args: argparse.Namespace) -> HandlerResult:
     raise SystemExit(f"unknown store action {args.action!r}")
 
 
+@cell_gc()
 def _run_cell(args: argparse.Namespace) -> str:
     """Run one harness cell named entirely by registry entries."""
     from repro.workloads import Harness, HarnessSpec

@@ -116,11 +116,12 @@ def cell_failure_predicate(
     ``(failing, clean_metrics)``.
     """
     from repro.analysis.faults import evaluate_cell
-    from repro.workloads.harness import Harness, HarnessSpec
+    from repro.workloads.harness import Harness, HarnessSpec, cell_gc
     from repro.workloads.registry import SCENARIOS
 
     base_builder = SCENARIOS[base_scenario]
 
+    @cell_gc()
     def run_with(plan: Optional[FaultPlan]) -> dict:
         scenario = (
             base_builder if plan is None else faulted(base_builder, base_scenario, plan=plan)

@@ -646,7 +646,7 @@ class MptcpConnection(SubflowObserver):
     # SubflowObserver: incoming options and data
     # ------------------------------------------------------------------
     def segment_options_received(self, sock: TcpSocket, segment: Segment) -> None:
-        flow = self._subflow_for(sock)
+        flow = self._subflow_by_socket.get(id(sock))  # _subflow_for, inlined: per segment
         options = segment.options_by_type
         capable = options.get(MpCapableOption)
         if capable is not None and self.remote_key is None and not self.is_fallback:
@@ -712,7 +712,7 @@ class MptcpConnection(SubflowObserver):
             flow.socket.backup = prio.backup
 
     def on_data(self, sock: TcpSocket, segment: Segment, new_bytes: int) -> None:
-        flow = self._subflow_for(sock)
+        flow = self._subflow_by_socket.get(id(sock))  # _subflow_for, inlined: per data segment
         if self.is_fallback:
             self._fallback_receive(sock, segment, flow)
             return

@@ -43,8 +43,12 @@ class Subflow:
         backup: bool = False,
     ) -> None:
         self._id = subflow_id
-        self._socket = socket
+        #: The underlying TCP socket.  A plain attribute: the scheduler
+        #: reads it for every candidate subflow of every chunk.
+        self.socket = socket
         self._origin = origin
+        #: True for the MP_CAPABLE subflow (the origin never changes).
+        self.is_initial = origin is SubflowOrigin.INITIAL
         self.backup = backup
         socket.backup = backup
         self.created_at = socket.sim.now
@@ -67,11 +71,6 @@ class Subflow:
         return self._id
 
     @property
-    def socket(self) -> TcpSocket:
-        """The underlying TCP socket."""
-        return self._socket
-
-    @property
     def origin(self) -> SubflowOrigin:
         """How this subflow was created."""
         return self._origin
@@ -79,12 +78,7 @@ class Subflow:
     @property
     def four_tuple(self) -> FourTuple:
         """The subflow's four-tuple, from the local point of view."""
-        return self._socket.four_tuple
-
-    @property
-    def is_initial(self) -> bool:
-        """True for the MP_CAPABLE subflow."""
-        return self._origin is SubflowOrigin.INITIAL
+        return self.socket.four_tuple
 
     # ------------------------------------------------------------------
     # state
@@ -92,19 +86,19 @@ class Subflow:
     @property
     def is_established(self) -> bool:
         """True while the subflow can carry data."""
-        return self._socket.is_established and self.closed_at is None
+        return self.socket.is_established and self.closed_at is None
 
     @property
     def is_closed(self) -> bool:
         """True once the subflow terminated (cleanly or not)."""
-        return self.closed_at is not None or self._socket.is_closed
+        return self.closed_at is not None or self.socket.is_closed
 
     @property
     def is_usable(self) -> bool:
         """True when the scheduler may place data on this subflow."""
         # Flattened is_established/is_closed: an open subflow whose socket
         # sits in ESTABLISHED is by definition not closed.
-        return self.closed_at is None and self._socket.state is TcpState.ESTABLISHED
+        return self.closed_at is None and self.socket.state is TcpState.ESTABLISHED
 
     def mark_established(self, when: float) -> None:
         """Record establishment time (called by the connection)."""
@@ -119,7 +113,7 @@ class Subflow:
 
     def info(self) -> TcpInfo:
         """``TCP_INFO``-style snapshot of the underlying socket."""
-        return self._socket.info()
+        return self.socket.info()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         flags = []

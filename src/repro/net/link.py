@@ -218,7 +218,14 @@ class Link:
             for survivor in self._fault_handler(segment, from_iface):
                 self._admit(survivor, from_iface, direction)
             return
-        self._admit(segment, from_iface, direction)
+        # _admit, inlined for the unfaulted per-hop path.
+        if direction.busy:
+            if len(direction.queue) >= self._queue_capacity:
+                direction.dropped_queue += 1
+                return
+            direction.queue.append(segment)
+            return
+        self._start_transmission(segment, from_iface, direction)
 
     def _admit(self, segment: Segment, from_iface: Interface, direction: _Direction) -> None:
         if direction.busy:

@@ -21,8 +21,8 @@ class Node:
         self._sim = sim
         self._name = name
         self._interfaces: dict[str, Interface] = {}
-        # Address (as a 32-bit int) -> owning interface, first wins; keeps
-        # the per-segment ownership/routing lookups O(1).
+        # Address (as a 32-bit int) -> owning interface, first wins; hosts
+        # and routers test a segment's ownership against its keys.
         self._address_index: dict[int, Interface] = {}
 
     # ------------------------------------------------------------------
@@ -72,12 +72,6 @@ class Node:
             for iface in self._interfaces.values()
             if iface.is_up or not only_up
         ]
-
-    def owns_address(self, address: IPAddress | str) -> bool:
-        """True when any interface (up or down) owns ``address``."""
-        if type(address) is not IPAddress:
-            address = IPAddress(address)
-        return address._value in self._address_index
 
     # ------------------------------------------------------------------
     # hooks for subclasses

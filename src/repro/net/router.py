@@ -10,6 +10,7 @@ same path — the effect the ndiffports baseline suffers from.
 
 from __future__ import annotations
 
+import struct
 import zlib
 from typing import Optional, Union
 
@@ -18,6 +19,20 @@ from repro.net.interface import Interface
 from repro.net.node import Node
 from repro.net.packet import Segment
 from repro.sim.engine import Simulator
+
+_pack_flow_key = struct.Struct("!IHIH").pack
+
+
+def ecmp_hash(src: int, sport: int, dst: int, dport: int, salt: int) -> int:
+    """CRC-32 of a flow's canonical key, from its four ints.
+
+    The key is the bytes of :meth:`repro.net.addressing.FourTuple.ecmp_key`
+    (the smaller of the two directions, packed), built without a
+    :class:`FourTuple`, so both directions of a flow hash alike.
+    """
+    if src < dst or (src == dst and sport <= dport):
+        return zlib.crc32(_pack_flow_key(src, sport, dst, dport), salt)
+    return zlib.crc32(_pack_flow_key(dst, dport, src, sport), salt)
 
 
 class EcmpGroup:
@@ -41,14 +56,12 @@ class EcmpGroup:
 
     def select(self, segment: Segment) -> str:
         """Pick the member interface for this segment's flow."""
-        key = segment.four_tuple.ecmp_key()
-        digest = zlib.crc32(key, self._salt)
-        return self._iface_names[digest % len(self._iface_names)]
+        return self._iface_names[self.path_index(segment)]
 
     def path_index(self, segment: Segment) -> int:
         """Index of the path this segment's flow hashes onto."""
-        key = segment.four_tuple.ecmp_key()
-        return zlib.crc32(key, self._salt) % len(self._iface_names)
+        digest = ecmp_hash(segment.src._value, segment.sport, segment.dst._value, segment.dport, self._salt)
+        return digest % len(self._iface_names)
 
 
 class Router(Node):
@@ -56,7 +69,9 @@ class Router(Node):
 
     def __init__(self, sim: Simulator, name: str) -> None:
         super().__init__(sim, name)
-        self._routes: dict[IPAddress, Union[str, EcmpGroup]] = {}
+        # Keyed by the destination's 32-bit int, so forwarding looks a
+        # route up without rebuilding an IPAddress.
+        self._routes: dict[int, Union[str, EcmpGroup]] = {}
         self._default: Optional[Union[str, EcmpGroup]] = None
         self.forwarded = 0
         self.dropped_no_route = 0
@@ -69,7 +84,7 @@ class Router(Node):
     def add_route(self, destination: IPAddress | str, via: Union[str, EcmpGroup]) -> None:
         """Route an exact destination address via an interface or ECMP group."""
         self._check_target(via)
-        self._routes[IPAddress(destination)] = via
+        self._routes[IPAddress(destination)._value] = via
 
     def set_default_route(self, via: Union[str, EcmpGroup]) -> None:
         """Route every unmatched destination via an interface or ECMP group."""
@@ -84,27 +99,33 @@ class Router(Node):
 
     def lookup(self, destination: IPAddress | str) -> Optional[Union[str, EcmpGroup]]:
         """Return the configured route target for a destination, if any."""
-        target = self._routes.get(IPAddress(destination))
-        return target if target is not None else self._default
+        return self._routes.get(IPAddress(destination)._value, self._default)
 
     # ------------------------------------------------------------------
     # forwarding
     # ------------------------------------------------------------------
     def receive(self, segment: Segment, iface: Interface) -> None:
-        if self.owns_address(segment.dst):
+        # The per-hop fast path: ownership, route and ECMP member are
+        # resolved from the segment's ints, with no property calls.
+        dst = segment.dst._value
+        if dst in self._address_index:
             # Routers terminate nothing in this reproduction; a segment for
             # the router itself is silently dropped.
             return
         if segment.ttl <= 1:
             self.dropped_ttl += 1
             return
-        target = self.lookup(segment.dst)
+        target = self._routes.get(dst, self._default)
         if target is None:
             self.dropped_no_route += 1
             return
-        out_name = target.select(segment) if isinstance(target, EcmpGroup) else target
-        out_iface = self.interfaces[out_name]
-        if not out_iface.is_up:
+        if target.__class__ is not str:  # an EcmpGroup
+            names = target._iface_names
+            target = names[
+                ecmp_hash(segment.src._value, segment.sport, dst, segment.dport, target._salt) % len(names)
+            ]
+        out_iface = self._interfaces[target]
+        if not out_iface._up:
             self.dropped_iface_down += 1
             return
         segment.ttl -= 1

@@ -80,8 +80,9 @@ class PacketTracer:
         def observe(segment: Segment, from_iface: Interface, to_iface: Interface) -> None:
             if keep is not None and not keep(segment):
                 return
+            # Attributes, not the full_name property: this runs per hop.
             records.append(
-                PacketRecord(sim.now, segment, from_iface.full_name, to_iface.full_name, link_name)
+                PacketRecord(sim.now, segment, from_iface._full_name, to_iface._full_name, link_name)
             )
 
         link.add_observer(observe)

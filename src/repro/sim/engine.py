@@ -145,13 +145,16 @@ class Simulator:
     """
 
     def __init__(self, seed: int = 0, start_time: float = 0.0, auto_compact_threshold: int = 1024) -> None:
-        self._now = float(start_time)
+        #: Current simulated time, in seconds.  A plain attribute rather
+        #: than a property: every component reads the clock per segment, and
+        #: only the event loop writes it.
+        self.now = float(start_time)
         self._sequence = itertools.count()
         self._running = False
         self._processed = 0
         # Two-tier event kernel: near-future calendar wheel + far-future spill heap.
         self._wheel: list[list[tuple]] = [[] for _ in range(_WHEEL_BUCKETS)]
-        self._wheel_start = self._now
+        self._wheel_start = self.now
         self._cursor = 0
         self._wheel_count = 0  # raw entries in the wheel, dead included
         self._spill: list[tuple] = []
@@ -174,11 +177,6 @@ class Simulator:
     # ------------------------------------------------------------------
     # introspection
     # ------------------------------------------------------------------
-    @property
-    def now(self) -> float:
-        """Current simulated time, in seconds."""
-        return self._now
-
     @property
     def pending_events(self) -> int:
         """Number of events still queued and not cancelled.
@@ -211,13 +209,13 @@ class Simulator:
         """Schedule ``callback`` to run ``delay`` seconds from now."""
         if delay < 0:
             raise SimulationError(f"cannot schedule an event in the past (delay={delay!r})")
-        return self.schedule_at(self._now + delay, callback, *args, **kwargs)
+        return self.schedule_at(self.now + delay, callback, *args, **kwargs)
 
     def schedule_at(self, time: float, callback: Callable[..., Any], *args: Any, **kwargs: Any) -> ScheduledEvent:
         """Schedule ``callback`` to run at the absolute simulated ``time``."""
         if not callable(callback):
             raise SimulationError(f"callback must be callable, got {callback!r}")
-        if not self._now <= time <= _MAX_EVENT_TIME:  # rejects NaN, inf and the past at once
+        if not self.now <= time <= _MAX_EVENT_TIME:  # rejects NaN, inf and the past at once
             self._reject_time(time)
         seq = next(self._sequence)
         event = ScheduledEvent(time, seq, callback, args, kwargs)
@@ -228,7 +226,7 @@ class Simulator:
 
     def call_soon(self, callback: Callable[..., Any], *args: Any, **kwargs: Any) -> ScheduledEvent:
         """Schedule ``callback`` at the current time (after pending same-time events)."""
-        return self.schedule_at(self._now, callback, *args, **kwargs)
+        return self.schedule_at(self.now, callback, *args, **kwargs)
 
     def schedule_pooled(self, delay: float, callback: Callable[..., Any], *args: Any) -> None:
         """Schedule a fire-and-forget callback on the recycled-event pool.
@@ -240,8 +238,9 @@ class Simulator:
         the same counter as :meth:`schedule`, so the execution order is
         identical to scheduling a fresh event.
         """
-        time = self._now + delay
-        if not self._now <= time <= _MAX_EVENT_TIME:
+        now = self.now
+        time = now + delay
+        if not now <= time <= _MAX_EVENT_TIME:
             self._reject_time(time)
         free = self._free
         seq = next(self._sequence)
@@ -258,7 +257,17 @@ class Simulator:
             event._sim = self
             event._pooled = True
         self._pending += 1
-        self._insert((time, seq, event))
+        # _insert, inlined: this and rearm() run once per segment per hop.
+        index = int((time - self._wheel_start) * self._inv_width)
+        if index >= _WHEEL_BUCKETS:
+            heappush(self._spill, (time, seq, event))
+            return
+        cursor = self._cursor
+        if index <= cursor:
+            heappush(self._wheel[cursor], (time, seq, event))
+        else:
+            self._wheel[index].append((time, seq, event))
+        self._wheel_count += 1
 
     def rearm(self, event: ScheduledEvent, delay: float) -> None:
         """Re-arm an event that already ran to fire again ``delay`` from now.
@@ -271,15 +280,26 @@ class Simulator:
         """
         if not event._executed:
             raise SimulationError("rearm() requires an event that has already run")
-        time = self._now + delay
-        if not self._now <= time <= _MAX_EVENT_TIME:
+        now = self.now
+        time = now + delay
+        if not now <= time <= _MAX_EVENT_TIME:
             self._reject_time(time)
         seq = next(self._sequence)
         event.time = time
         event.seq = seq
         event._executed = False
         self._pending += 1
-        self._insert((time, seq, event))
+        # _insert, inlined (see schedule_pooled).
+        index = int((time - self._wheel_start) * self._inv_width)
+        if index >= _WHEEL_BUCKETS:
+            heappush(self._spill, (time, seq, event))
+            return
+        cursor = self._cursor
+        if index <= cursor:
+            heappush(self._wheel[cursor], (time, seq, event))
+        else:
+            self._wheel[index].append((time, seq, event))
+        self._wheel_count += 1
 
     def cancel(self, event: Optional[ScheduledEvent]) -> None:
         """Cancel a previously scheduled event (``None`` is tolerated)."""
@@ -303,7 +323,7 @@ class Simulator:
         if math.isnan(time) or math.isinf(time):
             raise SimulationError(f"invalid event time {time!r}")
         raise SimulationError(
-            f"cannot schedule an event at {time!r}, current time is {self._now!r}"
+            f"cannot schedule an event at {time!r}, current time is {self.now!r}"
         )
 
     # ------------------------------------------------------------------
@@ -421,7 +441,7 @@ class Simulator:
         self._wheel_count -= 1
         self._pending -= 1
         event = entry[2]
-        self._now = entry[0]
+        self.now = entry[0]
         event._executed = True
         self._processed += 1
         kwargs = event.kwargs
@@ -477,7 +497,7 @@ class Simulator:
                 self._wheel_count -= 1
                 self._pending -= 1
                 event = entry[2]
-                self._now = entry[0]
+                self.now = entry[0]
                 event._executed = True
                 self._processed += 1
                 executed += 1
@@ -492,9 +512,9 @@ class Simulator:
                     free.append(event)
         finally:
             self._running = False
-        if until is not None and self._now < until:
-            self._now = until
-        return self._now
+        if until is not None and self.now < until:
+            self.now = until
+        return self.now
 
     def run_until_idle(self, max_events: int = 10_000_000) -> float:
         """Run until no events remain, guarding against runaway loops."""

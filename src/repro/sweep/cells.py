@@ -27,6 +27,7 @@ from repro.workloads import (
     WORKLOADS,
     Harness,
     HarnessSpec,
+    cell_gc,
     trace_digest,
 )
 
@@ -60,30 +61,31 @@ def run_cell(spec_dict: Mapping, campaign_seed: int) -> dict:
         raise ValueError(f"cell {spec.key!r} references an unknown registry entry")
 
     params = spec.param_dict
-    run = Harness().run(
-        HarnessSpec(
-            workload=spec.experiment,
-            scenario=spec.scenario,
-            controller=spec.controller,
-            scheduler=spec.scheduler,
-            seed=spec.cell_seed(campaign_seed),
-            horizon=float(params.get("horizon", 30.0)),
-            connections=spec.connections,
-            server_port=SERVER_PORT,
-            params=params,
-            probes=DEFAULT_PROBES,
-            # Grid-level opt-out for very large cells, where the capture
-            # list dominates memory; the param is part of the config hash,
-            # so traced and untraced cells never share a store object.
-            trace_probe=bool(params.get("trace_probe", True)),
-        )
+    harness_spec = HarnessSpec(
+        workload=spec.experiment,
+        scenario=spec.scenario,
+        controller=spec.controller,
+        scheduler=spec.scheduler,
+        seed=spec.cell_seed(campaign_seed),
+        horizon=float(params.get("horizon", 30.0)),
+        connections=spec.connections,
+        server_port=SERVER_PORT,
+        params=params,
+        probes=DEFAULT_PROBES,
+        # Grid-level opt-out for very large cells, where the capture
+        # list dominates memory; the param is part of the config hash,
+        # so traced and untraced cells never share a store object.
+        trace_probe=bool(params.get("trace_probe", True)),
     )
-    metrics = dict(run.metrics)
-    # Long-lived runs leave cancelled timers behind; compacting here keeps
-    # the accounting honest and exercises the reclamation path every cell.
-    metrics["events_processed"] = run.sim.processed_events
-    metrics["events_compacted"] = run.sim.compact()
-    metrics["sim_time_end"] = run.sim.now
+    with cell_gc():
+        run = Harness().run(harness_spec)
+        metrics = dict(run.metrics)
+        # Long-lived runs leave cancelled timers behind; compacting here keeps
+        # the accounting honest and exercises the reclamation path every cell.
+        metrics["events_processed"] = run.sim.processed_events
+        metrics["events_compacted"] = run.sim.compact()
+        metrics["sim_time_end"] = run.sim.now
+        del run  # the cell's last reference: cell_gc() frees its garbage
     return metrics
 
 

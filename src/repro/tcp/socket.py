@@ -256,7 +256,7 @@ class TcpSocket:
 
     def available_window(self) -> int:
         """Bytes of new data the congestion/receive windows currently allow."""
-        cwnd = self.congestion.cwnd
+        cwnd = self.congestion._cwnd  # the attribute, not the property: per scheduler pass
         peer = self._peer_window
         usable = cwnd if cwnd < peer else peer
         in_flight = self.snd_nxt - self.snd_una

@@ -27,6 +27,7 @@ from repro.workloads.harness import (
     Harness,
     HarnessRun,
     HarnessSpec,
+    cell_gc,
     run_workload,
 )
 from repro.workloads.probes import (
@@ -41,6 +42,7 @@ from repro.workloads.probes import (
     Probe,
     SubflowProbe,
     TraceProbe,
+    TraceSummary,
     make_probe,
     trace_digest,
 )
@@ -67,6 +69,7 @@ __all__ = [
     "HarnessSpec",
     "HarnessRun",
     "run_workload",
+    "cell_gc",
     "DEFAULT_SERVER_PORT",
     "Probe",
     "TraceProbe",
@@ -81,6 +84,7 @@ __all__ = [
     "DEFAULT_PROBES",
     "make_probe",
     "trace_digest",
+    "TraceSummary",
     "SCENARIOS",
     "CONTROLLERS",
     "WORKLOADS",

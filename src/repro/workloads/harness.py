@@ -18,8 +18,9 @@ from __future__ import annotations
 
 import gc
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Callable, Mapping, Optional, Sequence, Union
+from typing import Any, Callable, Iterator, Mapping, Optional, Sequence, Union
 
 from repro.mptcp.config import MptcpConfig
 from repro.mptcp.connection import MptcpConnection
@@ -280,19 +281,7 @@ class Harness:
         for hook in spec.hooks:
             hook(run)
 
-        # Pause the cyclic GC for the event loop itself: the simulation
-        # allocates segments/events at a rate that triggers generation-0
-        # collections constantly, none of which find garbage cycles worth
-        # the pauses.  Objects freed during the run are still reclaimed by
-        # reference counting; the backlog is swept when GC resumes.
-        gc_was_enabled = gc.isenabled()
-        if gc_was_enabled:
-            gc.disable()
-        try:
-            sim.run(until=spec.horizon)
-        finally:
-            if gc_was_enabled:
-                gc.enable()
+        sim.run(until=spec.horizon)
 
         run.metrics = dict(workload.collect(run))
         for probe in probes.values():
@@ -307,3 +296,37 @@ class Harness:
 def run_workload(spec: HarnessSpec) -> HarnessRun:
     """Run one harness composition against the global registries."""
     return Harness().run(spec)
+
+
+@contextmanager
+def cell_gc() -> Iterator[None]:
+    """The cyclic-GC policy of one cell, from its build to its last metric.
+
+    A cell allocates segments and events at a rate that would trigger
+    generation-0 collections constantly, none of which find cycles worth
+    the pause, so the cyclic GC is off inside the block.  What the cell
+    leaves behind (stacks, links, timers, the capture: one graph full of
+    cycles) is then still in generation 0, because no collection ran to
+    promote it, and the single ``gc.collect(0)`` on leaving frees it.
+    Without that, later collections promote the graph and only a full
+    collection, whenever CPython happens to run one, frees it, so peak
+    memory follows that timing instead of one cell's worth.
+
+    Every caller of :meth:`Harness.run` runs it under this policy: the
+    sweep cell runner as a ``with`` block that drops its last reference to
+    the :class:`HarnessRun` inside it, and the figure presets, the CLI's
+    ``cell``/``trace`` commands and the fault shrinker as a decorator on
+    the function that runs the cell, whose locals are gone by the time the
+    collection runs.  Whatever is still referenced then (a preset's
+    returned app or probe) survives the collection and is merely promoted.
+    The previous ``gc.isenabled()`` state is restored on leaving, also when
+    the cell raises; a failed cell skips the collection.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+        gc.collect(0)
+    finally:
+        if enabled:
+            gc.enable()

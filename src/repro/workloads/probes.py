@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import hashlib
 from abc import ABC
-from typing import TYPE_CHECKING, Any, Callable, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Callable, NamedTuple, Optional, Sequence
 
 from repro.analysis.trace import (
     SubflowSequenceTrace,
@@ -28,35 +28,75 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.workloads.harness import HarnessRun
 
 
-def trace_digest(tracer: PacketTracer) -> str:
-    """A stable digest of everything the tracer captured.
+class TraceSummary(NamedTuple):
+    """What a capture reduces to: the trace probe's three scalars."""
 
-    Two runs are byte-identical iff every captured segment matches in time,
-    location, TCP header fields and carried option types — the signal the
+    packets: int
+    """Captured records (one per segment per link it crossed)."""
+    digest: str
+    """SHA-256 over every record, see :func:`trace_digest`."""
+    data_bytes: int
+    """TCP payload bytes summed over every record (the wire view)."""
+
+
+#: Formatted segments the digest remembers at once.  A segment's records
+#: (one per link it crosses) lie close together in the capture, so a small
+#: memo catches nearly every repeat; it is emptied whenever it fills.
+_SEGMENT_MEMO_LIMIT = 4096
+
+#: Record lines joined before each hash update.
+_DIGEST_BATCH = 4096
+
+
+def trace_digest(tracer: PacketTracer) -> TraceSummary:
+    """Reduce everything the tracer captured, in one pass over the records.
+
+    The digest is a SHA-256 over one line per record.  Two runs are
+    byte-identical iff every captured segment matches in time, location,
+    TCP header fields and carried option types, which is the signal the
     determinism regression tests key on.
+
+    A segment object is captured once per link it crosses, and the digest
+    reads its fields after the run, so its header/options text is
+    formatted once per object (memoised by identity; every record holds
+    its segment alive, so ids stay unique for the whole loop) and only the
+    time and location are formatted per record.  Lines are hashed in
+    batches; SHA-256 over the concatenation does not depend on how the
+    updates split it.
     """
+    records = tracer.records
     digest = hashlib.sha256()
+    lines: list[str] = []
+    texts: dict[int, str] = {}
     # Option tuples are widely shared between segments (pure acks reuse one
-    # cached DSS tuple), so the joined type-name string is memoised by tuple
-    # identity; every record holds its segment alive, so ids stay stable for
-    # the duration of the loop.
+    # cached DSS tuple), so their joined type names are memoised too.
     names_by_options: dict[int, str] = {}
-    for record in tracer.records:
+    data_bytes = 0
+    for record in records:
         segment = record.segment
-        options = segment.options
-        option_names = names_by_options.get(id(options))
-        if option_names is None:
-            option_names = ",".join(type(option).__name__ for option in options)
-            names_by_options[id(options)] = option_names
-        digest.update(
-            (
-                f"{record.time!r}|{record.link}|{record.from_iface}>{record.to_iface}|"
+        data_bytes += segment.payload_len
+        text = texts.get(id(segment))
+        if text is None:
+            if len(texts) >= _SEGMENT_MEMO_LIMIT:
+                texts.clear()
+                names_by_options.clear()
+            options = segment.options
+            option_names = names_by_options.get(id(options))
+            if option_names is None:
+                option_names = ",".join([type(option).__name__ for option in options])
+                names_by_options[id(options)] = option_names
+            text = (
                 f"{segment.src}:{segment.sport}>{segment.dst}:{segment.dport}|"
-                f"seq={segment.seq} ack={segment.ack} flags={int(segment.flags)} "
+                f"seq={segment.seq} ack={segment.ack} flags={segment._flag_bits} "
                 f"len={segment.payload_len}|{option_names}\n"
-            ).encode("utf-8")
-        )
-    return digest.hexdigest()
+            )
+            texts[id(segment)] = text
+        lines.append(f"{record.time!r}|{record.link}|{record.from_iface}>{record.to_iface}|{text}")
+        if len(lines) >= _DIGEST_BATCH:
+            digest.update("".join(lines).encode("utf-8"))
+            lines.clear()
+    digest.update("".join(lines).encode("utf-8"))
+    return TraceSummary(len(records), digest.hexdigest(), data_bytes)
 
 
 class Probe(ABC):
@@ -108,12 +148,13 @@ class TraceProbe(Probe):
 
     def collect(self, run: "HarnessRun") -> dict[str, Any]:
         assert self.tracer is not None, "TraceProbe.collect before attach"
+        summary = trace_digest(self.tracer)
         return {
-            "trace_packets": len(self.tracer),
-            "trace_digest": trace_digest(self.tracer),
+            "trace_packets": summary.packets,
+            "trace_digest": summary.digest,
             # Wire-level payload bytes; against the workload's delivered
             # bytes this exposes the retransmission overhead of the run.
-            "trace_data_bytes": sum(payload_byte_totals(self.tracer).values()),
+            "trace_data_bytes": summary.data_bytes,
         }
 
     # -- figure-facing views -------------------------------------------

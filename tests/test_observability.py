@@ -484,3 +484,52 @@ class TestRunnerCli:
         assert args.progress is False
         args = self.subcommands()["sweep"].parse_args(["--grid", "quick", "--progress"])
         assert args.progress is True
+
+
+# ----------------------------------------------------------------------
+# Trace smoke (the CI trace-smoke job runs these)
+# ----------------------------------------------------------------------
+class TestTraceSmoke:
+    def test_cli_jsonl_export_has_strip_before_fallback(self, tmp_path, capsys):
+        from repro.experiments.runner import main
+
+        out = tmp_path / "downgrade.jsonl"
+        main([
+            "trace", "--scenario", "faulted_downgrade", "--controller", "fullmesh",
+            "--horizon", "15", "--params", '{"transfer_bytes": 60000}',
+            "--format", "jsonl", "--out", str(out),
+        ])
+        capsys.readouterr()
+        events = [json.loads(line) for line in out.read_text(encoding="utf-8").splitlines()]
+        strip = next(
+            index for index, event in enumerate(events)
+            if event.get("category") == "fault" and event.get("name") == "strip_option"
+        )
+        fallback = next(
+            index for index, event in enumerate(events) if event.get("category") == "fallback"
+        )
+        assert strip < fallback, (strip, fallback)
+        assert events[fallback]["detail"]["reason"] == "mp_capable_stripped", events[fallback]
+
+    def test_traced_grid_is_worker_count_independent_without_telemetry_leaks(self):
+        grid = CampaignGrid(
+            name="ci-trace",
+            campaign_seed=11,
+            experiments=["bulk_transfer"],
+            scenarios=["faulted_downgrade", "dual_homed"],
+            schedulers=["lowest_rtt"],
+            controllers=["fullmesh"],
+            seeds=2,
+            params={"transfer_bytes": 60_000, "horizon": 15.0, "event_log": True},
+        )
+        serial = run_campaign(grid, workers=1)
+        four = run_campaign(grid, workers=4)
+        assert serial.to_canonical_json() == four.to_canonical_json(), (
+            "traced cells are not worker-count independent"
+        )
+        for cell in serial.cells:
+            assert cell.result["events_recorded"] > 0, cell.spec.key
+            assert cell.telemetry is not None and not cell.telemetry.cached
+        assert "wall_time_s" not in serial.to_canonical_json(), (
+            "telemetry leaked into the canonical surface"
+        )

@@ -7,6 +7,9 @@ every registered scenario, probes report consistent metrics, and the
 heavier apps (HTTP, long-lived) survive the lossy scenarios.
 """
 
+import gc
+import weakref
+
 import pytest
 
 from repro.netem.scenarios import build_dual_homed
@@ -21,6 +24,7 @@ from repro.workloads import (
     HarnessSpec,
     TraceProbe,
     Workload,
+    cell_gc,
     get_workload,
     run_workload,
 )
@@ -213,6 +217,68 @@ class TestWorkloadsCampaign:
         # Structured metrics aggregate to "no samples", never a crash.
         summaries = summarize_groups(result.cells, "subflow_bytes", by=("scenario",))
         assert all(stats is None for stats in summaries.values())
+
+
+class TestCellGc:
+    """One cell's cyclic garbage is freed when the cell ends (``cell_gc``)."""
+
+    CELL = {
+        "experiment": "http",
+        "scenario": "dual_homed",
+        "scheduler": "lowest_rtt",
+        "controller": "userspace_ndiffports",
+        "seed_index": 0,
+        "params": {"request_count": 20, "object_size": 10_000, "horizon": 10.0},
+    }
+
+    @staticmethod
+    def _capture_runs(monkeypatch, fail: bool = False) -> list:
+        runs = []
+        original = Harness.run
+
+        def run(harness, spec):
+            finished = original(harness, spec)
+            runs.append(weakref.ref(finished.sim))
+            if fail:
+                raise RuntimeError("cell failed after its run")
+            return finished
+
+        monkeypatch.setattr(Harness, "run", run)
+        return runs
+
+    def test_run_cell_frees_its_simulator_without_a_gc_call(self, monkeypatch):
+        runs = self._capture_runs(monkeypatch)
+        assert gc.isenabled()
+        metrics = run_cell(self.CELL, 1)
+        assert metrics["requests_completed"] == 20
+        [sim] = runs
+        # The simulator sits in the cell's reference cycles (events hold
+        # callbacks bound to links and sockets that hold the simulator), so
+        # only a collection frees it; run_cell ran that collection itself.
+        assert sim() is None
+        assert gc.isenabled()
+
+    def test_gc_state_is_restored_when_the_cell_raises(self, monkeypatch):
+        self._capture_runs(monkeypatch, fail=True)
+        with pytest.raises(RuntimeError, match="cell failed"):
+            run_cell(self.CELL, 1)
+        assert gc.isenabled()
+        gc.disable()
+        try:
+            with pytest.raises(RuntimeError, match="cell failed"):
+                run_cell(self.CELL, 1)
+            assert not gc.isenabled()
+        finally:
+            gc.enable()
+
+    def test_a_run_kept_past_the_cell_stays_whole(self):
+        # What a figure preset does: keep the HarnessRun and read it later.
+        with cell_gc():
+            run = Harness().run(small_spec("bulk_transfer"))
+        assert gc.isenabled()
+        assert run.metrics["bytes_delivered"] == 40_000
+        assert run.sim.processed_events > 0
+        assert len(run.probe("trace").tracer) == run.metrics["trace_packets"]
 
 
 class TestProbeOverheadAndTraceOptOut:
